@@ -17,14 +17,13 @@ Two numbers bound the price of crash consistency:
   journal-tail replay variant.
 """
 
-import gc
 import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
-from conftest import star_workload
+from conftest import gated_ratio, star_workload
 
 from repro.serve.catalogs import CatalogRegistry
 
@@ -67,35 +66,6 @@ def _best_of(callable_, repeats=5):
     return best
 
 
-def _interleaved_best_of(first, second, repeats=10):
-    """Best-of over *interleaved* rounds of two workloads.
-
-    Timing all of one workload's repeats before the other's bakes CPU
-    frequency and cache drift into the ratio, and always running the
-    same side first within a pair biases against the second — so pairs
-    alternate order (and a warmup pair runs untimed), and each side's
-    minimum is taken across all pairs.  The ratio then prices the
-    journal, not the thermal state of the CI box.
-    """
-    first()
-    second()
-    firsts, seconds = [], []
-    gc.collect()
-    gc.disable()  # a collection pause inside one round skews the ratio
-    try:
-        for index in range(repeats):
-            order = (first, firsts), (second, seconds)
-            if index % 2:
-                order = order[::-1]
-            for callable_, sink in order:
-                started = time.perf_counter()
-                callable_()
-                sink.append(time.perf_counter() - started)
-    finally:
-        gc.enable()
-    return min(firsts), min(seconds)
-
-
 def _gate_state_dir(tmp_path):
     """Memory-backed state dir for the gated ratio, when available.
 
@@ -120,23 +90,11 @@ def test_journal_append_overhead(benchmark, tmp_path):
         snapshot_every=1_000_000,  # isolate append cost from compaction
     )
 
-    # A whole measurement can land inside a burst of host contention
-    # that inflates every round; a genuine regression inflates every
-    # *attempt*.  Re-measure (fresh interleaved best-of) up to twice
-    # before failing, and report the cleanest attempt.
-    overhead = float("inf")
-    memory_seconds = durable_seconds = 0.0
-    for _attempt in range(3):
-        mem_s, dur_s = _interleaved_best_of(
-            lambda: _mutation_round(memory, texts),
-            lambda: _mutation_round(durable, texts),
-        )
-        ratio = dur_s / mem_s if mem_s > 0 else 1.0
-        if ratio < overhead:
-            overhead = ratio
-            memory_seconds, durable_seconds = mem_s, dur_s
-        if overhead <= MAX_APPEND_OVERHEAD:
-            break
+    overhead, memory_seconds, durable_seconds = gated_ratio(
+        lambda: _mutation_round(memory, texts),
+        lambda: _mutation_round(durable, texts),
+        MAX_APPEND_OVERHEAD,
+    )
 
     # The asserted number comes from the matched best-of pair above;
     # benchmark() just records the durable path's distribution.

@@ -3,8 +3,10 @@
 The service tier wraps every ``plan()`` call in deadline accounting, a
 circuit-breaker check, and (on fallback) re-certification.  On the happy
 path — primary backend healthy, first attempt succeeds — all of that
-must be noise: the issue budget is <= 10% over a bare ``plan()`` call,
-asserted here as ``service_overhead_ratio``.
+must be noise: the budget is <= 10% over a bare ``plan()`` call,
+asserted here as ``service_overhead_ratio`` from interleaved, repeated
+rounds that are re-measured before the gate fails (see
+``conftest.gated_ratio``).
 
 The second series, ``failover_latency_ms``, prices the unhappy path: a
 dead primary backend plus the certification toll on the fallback's
@@ -28,9 +30,11 @@ from repro.service import (
     ServicePolicy,
 )
 
-from conftest import attach_corecover_stats, star_workload
+from conftest import attach_corecover_stats, gated_ratio, star_workload
 
 NUM_VIEWS = 250
+#: CI gate: supervision may cost at most 10% over a bare ``plan()``.
+MAX_SERVICE_OVERHEAD = 1.10
 
 
 def _best_of(callable_, repeats=3):
@@ -68,15 +72,17 @@ def test_service_happy_path_overhead(benchmark):
     assert outcome.attempts == 1
     assert outcome.rewritings
 
-    bare = _best_of(lambda: plan(workload.query, workload.views))
-    supervised = _best_of(lambda: executor.execute(request))
-    ratio = supervised / bare if bare > 0 else 1.0
+    ratio, bare, supervised = gated_ratio(
+        lambda: plan(workload.query, workload.views),
+        lambda: executor.execute(request),
+        MAX_SERVICE_OVERHEAD,
+    )
     benchmark.extra_info["service_overhead_ratio"] = ratio
     benchmark.extra_info["bare_seconds"] = bare
     benchmark.extra_info["supervised_seconds"] = supervised
     result = plan(workload.query, workload.views)
     attach_corecover_stats(benchmark, result.details)
-    assert ratio <= 1.10, (
+    assert ratio <= MAX_SERVICE_OVERHEAD, (
         f"service supervision costs {ratio - 1:.0%} on the happy path "
         "(budget: 10%)"
     )

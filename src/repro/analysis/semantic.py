@@ -25,7 +25,6 @@ from .inputs import AnalysisInput
 from .registry import AnalysisRule, register_rule
 
 __all__ = [
-    "RULE_ACYCLIC_ROUTING",
     "RULE_CONFIG_CONFLICT",
     "RULE_EMPTY_VIEW_TUPLES",
     "RULE_NON_MINIMAL_QUERY",
@@ -178,63 +177,6 @@ RULE_NON_MINIMAL_QUERY = register_rule(
         severity=Severity.INFO,
         family="semantic",
         check=_check_non_minimal_query,
-    )
-)
-
-
-# -- R105: acyclic fast-path routing ------------------------------------------
-
-
-def _check_acyclic_routing(inputs: AnalysisInput) -> Iterator[Diagnostic]:
-    from ..datalog.hypergraph import gyo_reduce, join_tree
-
-    query = inputs.query
-    relational = [atom for atom in query.body if not atom.is_comparison]
-    if len(relational) < 2:
-        return  # trivially acyclic; routing makes no difference
-    if _has_comparisons(query):
-        yield RULE_ACYCLIC_ROUTING.diagnostic(
-            "query contains comparison atoms, which fall outside the body "
-            "hypergraph: plan() keeps every homomorphism search on the "
-            "general backtracking path",
-            span=inputs.span_of(query),
-        )
-        return
-    residue = gyo_reduce(query)
-    if not residue:
-        tree = join_tree(query)
-        depth = tree.depth if tree is not None else 0
-        yield RULE_ACYCLIC_ROUTING.diagnostic(
-            "query body hypergraph is alpha-acyclic: plan() routes "
-            "homomorphism searches through the join-tree-guided fast "
-            f"path (join-tree depth {depth}); pass "
-            "--no-acyclic-fast-path to force the general path",
-            span=inputs.span_of(query),
-        )
-    else:
-        core = "; ".join(
-            "{" + ", ".join(sorted(str(v) for v in edge)) + "}"
-            for edge in residue
-        )
-        yield RULE_ACYCLIC_ROUTING.diagnostic(
-            "query body hypergraph is cyclic, so plan() uses the general "
-            "backtracking path; irreducible cyclic core (GYO residue): "
-            f"{core}",
-            span=inputs.span_of(query),
-        )
-
-
-RULE_ACYCLIC_ROUTING = register_rule(
-    AnalysisRule(
-        code="R105",
-        name="acyclic-routing",
-        description=(
-            "Report whether the planner's acyclic fast path will engage "
-            "for this query (and the irreducible cyclic core when not)."
-        ),
-        severity=Severity.INFO,
-        family="semantic",
-        check=_check_acyclic_routing,
     )
 )
 

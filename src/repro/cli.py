@@ -217,8 +217,7 @@ def _print_planner_stats(stats) -> None:
     """Render a PlannerStats snapshot (``--verbose`` output)."""
     print(
         f"planner: {stats.hom_searches} homomorphism searches "
-        f"({stats.hom_nodes} nodes, {stats.fast_path_searches} on the "
-        f"acyclic fast path), "
+        f"({stats.hom_nodes} nodes), "
         f"{stats.core_searches} tuple-core searches; "
         f"cache {stats.cache_hits} hits / {stats.cache_misses} misses "
         f"({stats.cache_hit_rate:.0%} hit rate, "
@@ -226,29 +225,6 @@ def _print_planner_stats(stats) -> None:
     )
     for name, seconds in stats.stages:
         print(f"    stage {name}: {seconds * 1000:.1f} ms")
-
-
-def _print_routing_line(planned) -> None:
-    """One ``--profile`` line summarizing the acyclic-routing decision."""
-    stats = planned.stats
-    details = getattr(planned, "details", None)
-    cc_stats = details.stats if isinstance(details, CoreCoverResult) else None
-    if cc_stats is not None and cc_stats.acyclic_fast_path:
-        depth = (
-            f"join-tree depth {cc_stats.join_tree_depth}"
-            if cc_stats.join_tree_depth >= 0
-            else "minimized core is cyclic"
-        )
-        state = f"on ({depth})"
-    elif stats.fast_path_searches:
-        state = "on"
-    else:
-        state = "off"
-    print(
-        f"acyclic fast path: {state}; "
-        f"{stats.fast_path_searches}/{stats.hom_searches} searches guided, "
-        f"{stats.hom_nodes} search nodes"
-    )
 
 
 def _cmd_rewrite(args: argparse.Namespace) -> int:
@@ -267,8 +243,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
     planned = plan(
         query, views, backend=backend.name, budget=_build_budget(args),
-        preflight=args.preflight,
-        acyclic_fast_path=args.acyclic_fast_path, **options,
+        preflight=args.preflight, **options,
     )
 
     rejected = _handle_preflight(planned, verbose=args.verbose)
@@ -282,7 +257,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
                 planned.stats.stages, parse_seconds=parse_seconds
             ).render_text()
         )
-        _print_routing_line(planned)
     print(f"query: {query}")
     outcome = planned.outcome
     if outcome is not None and outcome.status is not PlanStatus.COMPLETE:
@@ -985,13 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile", action="store_true",
             help="print the phase-level profile (parse through "
                  "cost ranking) before the results",
-        )
-        command.add_argument(
-            "--no-acyclic-fast-path", dest="acyclic_fast_path",
-            action="store_false",
-            help="disable the join-tree-guided homomorphism engine; "
-                 "every search runs on the general backtracking path "
-                 "(results are identical either way)",
         )
         _add_budget_flags(command)
         command.set_defaults(func=_cmd_rewrite)

@@ -30,10 +30,8 @@ class SearchObserver(Protocol):
     """Anything that wants to count homomorphism searches.
 
     Observers may additionally implement ``record_nodes(count)`` (called
-    once per finished search with the number of work items it expanded)
-    and ``record_fast_path_search()`` (called when a search is routed
-    through the acyclic fast path); both are looked up with ``getattr``
-    so minimal observers keep working.
+    once per finished search with the number of work items it expanded);
+    it is looked up with ``getattr`` so minimal observers keep working.
     """
 
     def record_search(self) -> None:  # pragma: no cover - protocol
@@ -86,52 +84,6 @@ def cancellation_scope(checkpoint: Callable[[], None]) -> Iterator[None]:
         _CHECKPOINT.reset(token)
 
 
-class AcyclicGuide(Protocol):
-    """A router deciding per search whether to run the acyclic fast path.
-
-    ``guide`` returns a substitution iterator implementing the whole
-    search — contractually yielding **exactly** the substitutions the
-    backtracker would, in the same order — or ``None`` to fall back to
-    the general backtracking search (cyclic source, comparison atoms,
-    trivial bodies).  The concrete implementation is
-    :class:`repro.containment.join_guided.AcyclicRouter`.
-    """
-
-    def guide(
-        self,
-        source: Sequence[Atom],
-        target: Sequence[Atom],
-        seed: Substitution,
-        injective: bool,
-    ) -> Optional[Iterator[Substitution]]:  # pragma: no cover - protocol
-        ...
-
-
-#: The active acyclic router, if any.  Installed by ``plan()`` (via
-#: :meth:`PlannerContext.routed_acyclic`) only when the planned query is
-#: alpha-acyclic and the fast path was not disabled; a context variable
-#: for the same thread/asyncio reasons as the observer.
-_ACYCLIC: ContextVar[Optional[AcyclicGuide]] = ContextVar(
-    "repro_homomorphism_acyclic", default=None
-)
-
-
-@contextmanager
-def acyclic_scope(guide: AcyclicGuide) -> Iterator[None]:
-    """Route eligible searches through *guide* within the block.
-
-    Every :func:`find_homomorphisms` call inside the block offers its
-    search to *guide* first; the guide declines (returns ``None``)
-    whenever its preconditions do not hold, so installing a scope is
-    always safe.  Nesting restores the previous guide.
-    """
-    token = _ACYCLIC.set(guide)
-    try:
-        yield
-    finally:
-        _ACYCLIC.reset(token)
-
-
 def unify_atom(
     source: Atom, target: Atom, substitution: Substitution
 ) -> Optional[Substitution]:
@@ -163,16 +115,14 @@ def _target_index(target: Sequence[Atom]) -> dict[tuple[str, int], list[Atom]]:
     return index
 
 
-def _ordered_positions(
+def _ordered_sources(
     source: Sequence[Atom], index: dict[tuple[str, int], list[Atom]]
-) -> list[int]:
-    """Source atom positions ordered to fail fast.
+) -> list[Atom]:
+    """Order source atoms to fail fast.
 
     Atoms with fewer candidate targets and more constants/repeated
     variables are tried first; ties are broken by the original order to
-    keep the search deterministic.  The acyclic fast path reuses this
-    exact ordering, which is one half of its bit-identical-enumeration
-    contract (the other half is preserving candidate order per atom).
+    keep the search deterministic.
     """
 
     def constrainedness(item: tuple[int, Atom]) -> tuple[int, int, int]:
@@ -181,17 +131,7 @@ def _ordered_positions(
         ground_args = sum(1 for arg in atom.args if isinstance(arg, Constant))
         return (candidates, -ground_args, position)
 
-    return [
-        position
-        for position, _ in sorted(enumerate(source), key=constrainedness)
-    ]
-
-
-def _ordered_sources(
-    source: Sequence[Atom], index: dict[tuple[str, int], list[Atom]]
-) -> list[Atom]:
-    """The source atoms in :func:`_ordered_positions` order."""
-    return [source[position] for position in _ordered_positions(source, index)]
+    return [atom for _, atom in sorted(enumerate(source), key=constrainedness)]
 
 
 def _source_terms(source: Sequence[Atom]) -> set[Term]:
@@ -232,15 +172,6 @@ def find_homomorphisms(
     observer = _OBSERVER.get()
     if observer is not None:
         observer.record_search()
-    guide = _ACYCLIC.get()
-    if guide is not None:
-        guided = guide.guide(source, target, seed, injective)
-        if guided is not None:
-            if observer is not None:
-                record = getattr(observer, "record_fast_path_search", None)
-                if record is not None:
-                    record()
-            return guided
     return _search(source, target, seed, injective)
 
 
@@ -260,8 +191,6 @@ def _search(
     )
     # Nodes count units of work, not just recursion depth: one per
     # backtracking entry plus one per candidate unification attempted.
-    # The acyclic fast path reports the same units (including its
-    # semijoin work), so the two engines' node counts are comparable.
     nodes = 0
 
     def backtrack(position: int, substitution: Substitution) -> Iterator[Substitution]:

@@ -75,11 +75,9 @@ class ContainmentCache:
         self.caching = caching
         #: Number of homomorphism searches actually performed.
         self.hom_searches = 0
-        #: Work units (backtracking entries + candidate unifications +
-        #: semijoin tests) expanded by those searches.
+        #: Work units (backtracking entries + candidate unifications)
+        #: expanded by those searches.
         self.hom_nodes = 0
-        #: Searches routed through the acyclic join-tree-guided engine.
-        self.fast_path_searches = 0
         #: Active resource-budget meter, set by the PlannerContext.  Each
         #: recorded search is charged against it, and its ``checkpoint``
         #: is installed as the backtracking cancellation hook.
@@ -110,10 +108,6 @@ class ContainmentCache:
     def record_nodes(self, nodes: int) -> None:
         """Observer callback: a finished search expanded *nodes* work units."""
         self.hom_nodes += nodes
-
-    def record_fast_path_search(self) -> None:
-        """Observer callback: a search ran on the acyclic fast path."""
-        self.fast_path_searches += 1
 
     def observing(self):
         """Context manager attributing homomorphism searches to this cache."""

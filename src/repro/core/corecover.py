@@ -93,17 +93,8 @@ class CoreCoverStats:
     #: ``(canonical phase, seconds)`` in taxonomy order (see
     #: :mod:`repro.profiling.phases`); empty for stats built elsewhere.
     phase_seconds: tuple[tuple[str, float], ...] = ()
-    #: Whether the run executed under the acyclic fast path (``plan()``
-    #: routing; always ``False`` for direct ``core_cover_impl`` calls).
-    acyclic_fast_path: bool = False
-    #: Depth of the minimized query's join tree (nodes on the longest
-    #: root-to-leaf path); ``-1`` when no tree was built (general path,
-    #: or a minimized core that turned out cyclic).
-    join_tree_depth: int = -1
     #: Homomorphism-search work units expanded during this run.
     hom_nodes: int = 0
-    #: Searches the router actually guided (0 on the general path).
-    fast_path_searches: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -154,7 +145,6 @@ def core_cover(
     group_tuples: bool = True,
     *,
     prune_views: bool = True,
-    acyclic_fast_path: bool = True,
     context: PlannerContext | None = None,
 ) -> CoreCoverResult:
     """All globally-minimal rewritings of *query* using *views* (M1-optimal).
@@ -168,7 +158,6 @@ def core_cover(
         views,
         backend="corecover",
         context=context,
-        acyclic_fast_path=acyclic_fast_path,
         group_views=group_views,
         group_tuples=group_tuples,
         prune_views=prune_views,
@@ -183,7 +172,6 @@ def core_cover_star(
     max_rewritings: int | None = None,
     *,
     prune_views: bool = True,
-    acyclic_fast_path: bool = True,
     context: PlannerContext | None = None,
 ) -> CoreCoverResult:
     """All minimal rewritings using view tuples (the M2 search space).
@@ -197,7 +185,6 @@ def core_cover_star(
         views,
         backend="corecover-star",
         context=context,
-        acyclic_fast_path=acyclic_fast_path,
         group_views=group_views,
         group_tuples=group_tuples,
         max_rewritings=max_rewritings,
@@ -299,14 +286,6 @@ def core_cover_impl(
     nonempty = [core for core in working_cores if not core.is_empty]
     empty = [core.view_tuple for core in cores if core.is_empty]
 
-    # Acyclicity is not hereditary, so the *minimized* query gets its
-    # own join tree: its root-first traversal orders the set-cover
-    # pivots so chosen tuple-cores grow along connected subtrees.
-    # ``None`` (fast path off, or a cyclic core) keeps the numeric
-    # pivot order; either way the covers found are identical.
-    tree = ctx.join_tree(minimized) if ctx.acyclic_route else None
-    pivot_order = tree.traversal() if tree is not None else None
-
     # Step (4): cover the query subgoals.
     t0 = time.perf_counter()
     with ctx.stage("cover"):
@@ -324,17 +303,12 @@ def core_cover_impl(
                     certified=True,
                 )
 
-            # A capped enumeration keeps the default pivot order: which
-            # covers exist before the cap depends on discovery order.
             covers = irredundant_covers(
                 universe,
                 cover_inputs,
                 max_rewritings,
                 checkpoint=checkpoint,
                 on_cover=found,
-                pivot_order=(
-                    pivot_order if max_rewritings is None else None
-                ),
             )
             rewritings = tuple(
                 _build_rewriting(minimized, [nonempty[i] for i in cover])
@@ -345,10 +319,7 @@ def core_cover_impl(
             # clears the result set), so they are only recorded once the
             # enumeration has completed.
             covers = minimum_covers(
-                universe,
-                cover_inputs,
-                checkpoint=checkpoint,
-                pivot_order=pivot_order,
+                universe, cover_inputs, checkpoint=checkpoint
             )
             rewritings = tuple(
                 _build_rewriting(minimized, [nonempty[i] for i in cover])
@@ -379,10 +350,7 @@ def core_cover_impl(
         cache_hits=delta.cache_hits,
         cache_misses=delta.cache_misses,
         phase_seconds=profile_from_stages(delta.stages).phases,
-        acyclic_fast_path=ctx.acyclic_route,
-        join_tree_depth=tree.depth if tree is not None else -1,
         hom_nodes=delta.hom_nodes,
-        fast_path_searches=delta.fast_path_searches,
     )
     return CoreCoverResult(
         query=query,

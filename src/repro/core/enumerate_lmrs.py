@@ -32,7 +32,6 @@ def enumerate_view_tuple_lmrs(
     limit: int | None = 100,
     *,
     context: "PlannerContext | None" = None,
-    acyclic_fast_path: bool = True,
 ) -> Iterator[ConjunctiveQuery]:
     """Yield the LMRs of *query* whose subgoals are view tuples.
 
@@ -42,37 +41,9 @@ def enumerate_view_tuple_lmrs(
     enumerated smallest-first, so supersets of found LMRs are skipped
     cheaply.  ``max_size`` defaults to the number of query subgoals (the
     [16] bound); ``limit`` caps the yield for adversarial view sets.
-
-    With a *context* and an alpha-acyclic comparison-free *query*, the
-    per-candidate containment checks run on the acyclic fast path (same
-    routing rule as ``plan()``); the LMRs and their order are identical
-    either way — the guided engine's bit-identical contract.
     """
     minimize_fn = context.minimize if context is not None else minimize
     minimized = minimize_fn(query)
-    route = (
-        context is not None
-        and acyclic_fast_path
-        and not any(atom.is_comparison for atom in query.body)
-        and context.join_tree(query) is not None
-    )
-    if route:
-        assert context is not None
-        with context.routed_acyclic():
-            yield from _enumerate_lmrs(
-                minimized, views, max_size, limit, context
-            )
-    else:
-        yield from _enumerate_lmrs(minimized, views, max_size, limit, context)
-
-
-def _enumerate_lmrs(
-    minimized: ConjunctiveQuery,
-    views: ViewCatalog,
-    max_size: int | None,
-    limit: int | None,
-    context: "PlannerContext | None",
-) -> Iterator[ConjunctiveQuery]:
     tuples = view_tuples(minimized, views, context=context)
     bound = max_size or len(minimized.body)
     found: list[frozenset[int]] = []

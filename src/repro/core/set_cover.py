@@ -26,7 +26,6 @@ def minimum_covers(
     sets: Sequence[frozenset[int]],
     *,
     checkpoint: Callable[[], None] | None = None,
-    pivot_order: Sequence[int] | None = None,
 ) -> list[tuple[int, ...]]:
     """All covers of *universe* with the minimum number of sets.
 
@@ -34,23 +33,12 @@ def minimum_covers(
     exists.  The empty universe is covered by the empty cover.
     ``checkpoint`` is called on every branch node (cooperative
     cancellation under a resource budget).
-
-    ``pivot_order`` ranks the universe elements the brancher pivots on
-    (default: numeric order).  The acyclic fast path passes the query's
-    join-tree traversal here so chosen sets grow along connected
-    subtrees, which fails impossible branches earlier.  The *result* is
-    order-independent: branching on any uncovered element visits every
-    minimum cover (each must contain a set covering the pivot), the
-    best-size bound never prunes a minimum cover, and results are
-    returned sorted — so a pivot order changes node counts, never
-    answers.
     """
     if not universe:
         return [()]
     element_to_sets = _element_index(universe, sets)
     if any(not options for options in element_to_sets.values()):
         return []
-    pick = _pivot_picker(pivot_order)
 
     best_size = len(universe) + 1  # a cover never needs more sets than elements
     results: set[tuple[int, ...]] = set()
@@ -70,7 +58,7 @@ def minimum_covers(
             return
         if len(chosen) + 1 > best_size:
             return
-        pivot = pick(uncovered)
+        pivot = min(uncovered)
         for index in element_to_sets[pivot]:
             if index in chosen:
                 continue
@@ -87,7 +75,6 @@ def irredundant_covers(
     *,
     checkpoint: Callable[[], None] | None = None,
     on_cover: Callable[[tuple[int, ...]], None] | None = None,
-    pivot_order: Sequence[int] | None = None,
 ) -> list[tuple[int, ...]]:
     """All irredundant covers of *universe* (no member can be dropped).
 
@@ -100,24 +87,12 @@ def irredundant_covers(
     lets the anytime planner keep best-so-far results when the search is
     cancelled mid-enumeration (irredundant covers are additive — a found
     cover is never retracted later).
-
-    ``pivot_order`` works as in :func:`minimum_covers`; the uncapped
-    enumeration is exhaustive, so it changes traversal, not results.
-    **Callers must not pass it together with ``max_covers``** — which
-    covers survive a cap depends on discovery order, so the fast path
-    only reorders uncapped enumerations (enforced here).
     """
-    if pivot_order is not None and max_covers is not None:
-        raise ValueError(
-            "pivot_order with max_covers would change which covers are "
-            "found before the cap; pass one or the other"
-        )
     if not universe:
         return [()]
     element_to_sets = _element_index(universe, sets)
     if any(not options for options in element_to_sets.values()):
         return []
-    pick = _pivot_picker(pivot_order)
 
     results: set[tuple[int, ...]] = set()
 
@@ -146,7 +121,7 @@ def irredundant_covers(
             return
         if len(chosen) >= len(universe):
             return  # an irredundant cover has at most |universe| sets
-        pivot = pick(uncovered)
+        pivot = min(uncovered)
         for index in element_to_sets[pivot]:
             if index in chosen:
                 continue
@@ -177,25 +152,6 @@ def greedy_cover(
         chosen.append(best_index)
         uncovered -= sets[best_index]
     return tuple(sorted(chosen))
-
-
-def _pivot_picker(
-    pivot_order: Sequence[int] | None,
-) -> Callable[[frozenset[int]], int]:
-    """A pivot chooser ranking elements by *pivot_order* (default numeric).
-
-    Elements missing from *pivot_order* rank after every listed one, in
-    numeric order, so a partial order is still deterministic.
-    """
-    if pivot_order is None:
-        return min
-    rank = {element: position for position, element in enumerate(pivot_order)}
-    fallback = len(rank)
-
-    def pick(uncovered: frozenset[int]) -> int:
-        return min(uncovered, key=lambda e: (rank.get(e, fallback), e))
-
-    return pick
 
 
 def _element_index(

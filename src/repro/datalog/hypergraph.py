@@ -1,22 +1,11 @@
-"""Hypergraph structure of conjunctive queries: GYO reduction, join trees.
+"""Hypergraph structure of conjunctive queries: GYO reduction.
 
 A conjunctive query's *body hypergraph* has the body variables as
 vertices and the relational atoms' variable sets as hyperedges.  The
 query is **alpha-acyclic** exactly when the GYO (Graham /
-Yu-Ozsoyoglu) reduction empties that hypergraph — equivalently, when the
-hypergraph admits a **join tree**: a forest over the atoms such that for
-every variable the atoms containing it form a connected subtree (the
-running-intersection property).
-
-Two consumers share this module:
-
-* the C106 catalog-audit rule (:mod:`repro.analysis.catalog`), which
-  classifies every view's acyclicity up front, and
-* the planner's acyclic fast path
-  (:mod:`repro.containment.join_guided`), which uses the join tree to
-  run Yannakakis-style semijoin filtering instead of blind backtracking
-  (Geck et al., "Rewriting with Acyclic Queries: Mind Your Head",
-  PAPERS.md) and to order the set-cover pivots.
+Yu-Ozsoyoglu) reduction empties that hypergraph.  The C106
+catalog-audit rule (:mod:`repro.analysis.catalog`) uses it to classify
+every view's acyclicity up front.
 
 The reduction repeats two moves until neither applies:
 
@@ -33,20 +22,11 @@ catalog's predicate-signature index.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
 
-from .atoms import Atom
 from .query import ConjunctiveQuery
 from .terms import Variable
 
-__all__ = [
-    "JoinTree",
-    "gyo_reduce",
-    "is_acyclic",
-    "join_tree",
-    "join_tree_of_atoms",
-]
+__all__ = ["gyo_reduce", "is_acyclic"]
 
 
 def gyo_reduce(query: ConjunctiveQuery) -> tuple[frozenset[Variable], ...]:
@@ -96,108 +76,3 @@ def is_acyclic(query: ConjunctiveQuery) -> bool:
     Queries with fewer than two relational atoms are trivially acyclic.
     """
     return not gyo_reduce(query)
-
-
-@dataclass(frozen=True)
-class JoinTree:
-    """An ear-elimination join forest over a sequence of relational atoms.
-
-    Nodes are **positions** into the atom sequence the tree was built
-    from (comparison atoms are never nodes).  ``order`` lists the
-    positions in ear-elimination order — every node appears *before* its
-    parent, so iterating ``order`` is a valid bottom-up (leaves-first)
-    schedule and ``reversed(order)`` a valid top-down one.  ``parent``
-    is aligned with ``order``; ``-1`` marks a root (one per connected
-    component, so disconnected bodies yield a forest).
-    """
-
-    #: Atom positions in ear-elimination order (children before parents).
-    order: tuple[int, ...]
-    #: ``parent[k]`` is the parent position of ``order[k]``, ``-1`` for roots.
-    parent: tuple[int, ...]
-    #: Longest root-to-leaf path, counted in nodes (0 for an empty tree).
-    depth: int
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        """The root positions (one per connected component)."""
-        return tuple(
-            node for node, up in zip(self.order, self.parent) if up == -1
-        )
-
-    def parent_of(self, position: int) -> int:
-        """The parent of atom *position* (``-1`` for a root)."""
-        return self.parent[self.order.index(position)]
-
-    def traversal(self) -> tuple[int, ...]:
-        """Atom positions root-first (the reverse elimination order)."""
-        return tuple(reversed(self.order))
-
-
-def join_tree_of_atoms(atoms: Sequence[Atom]) -> "JoinTree | None":
-    """A join tree over the relational atoms of *atoms*, or ``None``.
-
-    ``None`` means the hypergraph is cyclic (no join tree exists — the
-    classical equivalence with GYO reducibility).  Ears are eliminated
-    lowest-position-first each round, so the result is deterministic.
-    An atom sharing no variables with the rest becomes the root of its
-    own component.
-    """
-    remaining: list[tuple[int, frozenset[Variable]]] = [
-        (position, frozenset(atom.variable_set()))
-        for position, atom in enumerate(atoms)
-        if not atom.is_comparison
-    ]
-    order: list[int] = []
-    parents: list[int] = []
-    while len(remaining) > 1:
-        eliminated: tuple[int, int, int] | None = None
-        for slot, (position, variables) in enumerate(remaining):
-            others = remaining[:slot] + remaining[slot + 1 :]
-            boundary = variables & frozenset().union(
-                *(other_vars for _, other_vars in others)
-            )
-            if not boundary:
-                # Disconnected from the rest: root of its own component.
-                eliminated = (slot, position, -1)
-                break
-            witness = next(
-                (
-                    other_position
-                    for other_position, other_vars in others
-                    if boundary <= other_vars
-                ),
-                None,
-            )
-            if witness is not None:
-                eliminated = (slot, position, witness)
-                break
-        if eliminated is None:
-            return None  # no ear: the hypergraph is cyclic
-        slot, position, parent = eliminated
-        order.append(position)
-        parents.append(parent)
-        del remaining[slot]
-    for position, _ in remaining:
-        order.append(position)
-        parents.append(-1)
-
-    parent_of = dict(zip(order, parents))
-    depth_of: dict[int, int] = {}
-    for position in reversed(order):  # roots first, so parents are done
-        up = parent_of[position]
-        depth_of[position] = 1 if up == -1 else depth_of[up] + 1
-    return JoinTree(
-        order=tuple(order),
-        parent=tuple(parents),
-        depth=max(depth_of.values(), default=0),
-    )
-
-
-def join_tree(query: ConjunctiveQuery) -> "JoinTree | None":
-    """A join tree over *query*'s body, or ``None`` when cyclic.
-
-    Node positions index into ``query.body``; comparison atoms are
-    skipped (they are not hyperedges), so their positions never appear.
-    """
-    return join_tree_of_atoms(query.body)

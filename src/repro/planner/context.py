@@ -39,10 +39,8 @@ from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..containment.canonical import CanonicalDatabase
-    from ..containment.join_guided import AcyclicRouter
     from ..core.tuple_core import TupleCore
     from ..core.view_tuples import ViewTuple
-    from ..datalog.hypergraph import JoinTree
     from ..views.view import View
 
 __all__ = ["PlannerContext", "PlannerStats"]
@@ -71,7 +69,8 @@ class PlannerStats:
     #: Work units expanded by homomorphism searches (see
     #: :meth:`ContainmentCache.record_nodes`).
     hom_nodes: int = 0
-    #: Searches routed through the acyclic join-tree-guided engine.
+    #: Always 0 (the acyclic fast path was removed); kept only because
+    #: ``perfbench/bench_inproc.py`` still reads it.
     fast_path_searches: int = 0
 
     @property
@@ -107,9 +106,6 @@ class PlannerStats:
             caches=caches,
             stages=stages,
             hom_nodes=self.hom_nodes - earlier.hom_nodes,
-            fast_path_searches=(
-                self.fast_path_searches - earlier.fast_path_searches
-            ),
         )
 
 
@@ -133,7 +129,6 @@ class PlannerContext:
         self.counters: dict[str, CacheCounter] = self.containment.counters
         self.counters["tuple_core"] = CacheCounter()
         self.counters["view_rows"] = CacheCounter()
-        self.counters["join_tree"] = CacheCounter()
         self._tuple_cores: dict[tuple, tuple[frozenset[int], Substitution]] = {}
         self._view_rows: dict[tuple, tuple[tuple[Term, ...], ...]] = {}
         self._view_def_keys: dict[int, tuple] = {}
@@ -148,12 +143,6 @@ class PlannerContext:
         #: Anytime-rewriting collector; active only inside a ``plan()``
         #: call (see :meth:`collecting`).
         self._partials: list[AnytimeRewriting] | None = None
-        #: Whether the acyclic fast path is active (set by ``plan()``'s
-        #: routing via :meth:`routed_acyclic`); stages read it to report
-        #: the routing decision in their stats.
-        self.acyclic_route: bool = False
-        self._join_trees: dict[tuple, "JoinTree | None"] = {}
-        self._acyclic_router: "AcyclicRouter | None" = None
 
     # -- resource budgets -------------------------------------------------------
     def checkpoint(self) -> None:
@@ -258,61 +247,6 @@ class PlannerContext:
         """Search work units expanded under this context."""
         return self.containment.hom_nodes
 
-    @property
-    def fast_path_searches(self) -> int:
-        """Searches routed through the acyclic fast path."""
-        return self.containment.fast_path_searches
-
-    # -- acyclic routing --------------------------------------------------------
-    def join_tree(self, query: ConjunctiveQuery) -> "JoinTree | None":
-        """Memoized ear-elimination join tree (``None`` when cyclic).
-
-        Keyed on the interned query, like every other planner cache, so
-        a shared context pays for ear elimination once per structure.
-        """
-        from ..datalog.hypergraph import join_tree as compute
-
-        counter = self.counters["join_tree"]
-        if not self.caching:
-            counter.misses += 1
-            return compute(query)
-        key = self.interner.query_key(query)
-        try:
-            tree = self._join_trees[key]
-        except KeyError:
-            counter.misses += 1
-            tree = compute(query)
-            self._join_trees[key] = tree
-        else:
-            counter.hits += 1
-        return tree
-
-    def acyclic_router(self) -> "AcyclicRouter":
-        """This context's (lazily built) acyclic-search router."""
-        from ..containment.join_guided import AcyclicRouter
-
-        if self._acyclic_router is None:
-            self._acyclic_router = AcyclicRouter()
-        return self._acyclic_router
-
-    @contextmanager
-    def routed_acyclic(self) -> Iterator[None]:
-        """Run the block with the acyclic fast path active.
-
-        Installs this context's router as the homomorphism engine's
-        guide and flags the context so pipeline stages can report the
-        routing decision.  Restores both on exit (nesting-safe).
-        """
-        from ..containment.homomorphism import acyclic_scope
-
-        previous = self.acyclic_route
-        self.acyclic_route = True
-        try:
-            with acyclic_scope(self.acyclic_router()):
-                yield
-        finally:
-            self.acyclic_route = previous
-
     # -- view-definition interning ---------------------------------------------
     def view_definition_key(self, view: "View") -> tuple:
         """A name-independent structural key for a view's definition.
@@ -356,9 +290,6 @@ class PlannerContext:
             self.interner.query_key(view.definition) for view in views
         }
         dropped += self.containment.evict_query_keys(query_keys)
-        for key in [k for k in self._join_trees if k in query_keys]:
-            del self._join_trees[key]
-            dropped += 1
         for view in views:
             self._view_def_keys.pop(id(view), None)
         return dropped
@@ -474,7 +405,6 @@ class PlannerContext:
             ),
             stages=tuple(self.stage_seconds.items()),
             hom_nodes=self.hom_nodes,
-            fast_path_searches=self.fast_path_searches,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -24,7 +24,6 @@ stay in lockstep.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,7 +163,6 @@ def plan(
     budget: ResourceBudget | None = None,
     strict_budget: bool = False,
     preflight: bool = False,
-    acyclic_fast_path: bool = True,
     **options,
 ) -> PlanResult:
     """Rewrite *query* using *views* with one backend, optionally costed.
@@ -191,15 +189,6 @@ def plan(
     :class:`~repro.errors.BudgetExceededError` raise instead.  Input
     errors (:class:`~repro.errors.ReproError` subclasses such as parse or
     arity failures) always propagate; they are not degradation.
-
-    ``acyclic_fast_path`` (default on) routes the backend's homomorphism
-    searches through the join-tree-guided engine when the query's body
-    hypergraph is alpha-acyclic and comparison-free — same rewritings,
-    bit for bit, with far fewer search nodes (see
-    :mod:`repro.containment.join_guided`).  Cyclic queries, and any
-    individual search the router deems ineligible, transparently use the
-    general backtracker.  ``--no-acyclic-fast-path`` is the CLI spelling
-    of ``acyclic_fast_path=False``.
     """
     catalog = views if isinstance(views, ViewCatalog) else ViewCatalog(views)
     ctx = context if context is not None else PlannerContext()
@@ -243,19 +232,6 @@ def plan(
                 analysis=report,
             )
 
-    # Routing: the fast path engages only when the query's hypergraph is
-    # alpha-acyclic (a join tree exists) and comparison-free — comparison
-    # atoms fall outside the hypergraph, so their searches cannot be
-    # guided and the flag would misreport.  The decision is cheap (ear
-    # elimination is memoized per interned query) and timed as its own
-    # stage, folded into the ``preflight`` phase.
-    with ctx.stage("routing"):
-        route_acyclic = (
-            acyclic_fast_path
-            and not any(atom.is_comparison for atom in query.body)
-            and ctx.join_tree(query) is not None
-        )
-
     active_budget = budget
     if active_budget is None and ctx.meter is not None:
         active_budget = ctx.meter.budget
@@ -269,11 +245,10 @@ def plan(
     error: BaseException | None = None
     rewritings: tuple[ConjunctiveQuery, ...] = ()
     details: object = None
-    route = ctx.routed_acyclic() if route_acyclic else nullcontext()
     with ctx.collecting() as partials:
         with ctx.budgeted(budget) as meter:
             try:
-                with route, ctx.stage(f"rewrite:{resolved.name}"):
+                with ctx.stage(f"rewrite:{resolved.name}"):
                     rewritings, details = resolved.run(
                         query, catalog, context=ctx, **options
                     )

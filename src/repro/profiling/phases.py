@@ -55,9 +55,6 @@ CANONICAL_PHASES: tuple[str, ...] = (
 #: Raw context stage name -> canonical phase (exact matches).
 _STAGE_TO_PHASE: dict[str, str] = {
     "preflight": "preflight",
-    # Acyclicity routing is a pre-backend decision; it books under the
-    # preflight phase rather than growing the taxonomy.
-    "routing": "preflight",
     "minimize": "minimize",
     "grouping": "grouping",
     "canonical_db": "canonical_db",

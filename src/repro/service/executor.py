@@ -474,13 +474,10 @@ class ResilientExecutor:
         ).to_json()
         # Search-effort counters ride along with the phase timings so
         # batch/serve consumers can see how much homomorphism work each
-        # request cost and whether the acyclic fast path carried it.
+        # request cost.
         payload["search"] = {
             "hom_searches": stats.hom_searches if stats is not None else 0,
             "hom_nodes": stats.hom_nodes if stats is not None else 0,
-            "fast_path_searches": (
-                stats.fast_path_searches if stats is not None else 0
-            ),
         }
         return payload
 

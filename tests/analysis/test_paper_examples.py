@@ -31,10 +31,8 @@ def test_car_loc_part_flags_only_the_true_duplicate():
     example = paper_examples.car_loc_part()
     context = PlannerContext()
     report = analyze(example.query, example.views, context=context)
-    # R105 is the (always-on) acyclic-routing note; beyond it, the only
-    # finding must be the true duplicate.
-    assert [d.code for d in report if d.code != "R105"] == ["R101"]
-    (finding,) = [d for d in report.diagnostics if d.code == "R101"]
+    assert [d.code for d in report] == ["R101"]
+    (finding,) = report.diagnostics
     assert finding.subject == "view:v5"
     # Ground truth: v5's definition is exactly v1's up to renaming.
     from repro.analysis.semantic import _marker_definition

@@ -189,35 +189,3 @@ class TestConfigConflictR104:
     def test_negative_no_config(self):
         report = analyze(parse_query("q(X) :- e(X, X)"))
         assert "R104" not in codes(report)
-
-
-class TestAcyclicRoutingR105:
-    def test_acyclic_query_reports_fast_path_and_depth(self):
-        report = analyze(parse_query("q(X, Y) :- e(X, Z), e(Z, Y)"))
-        (note,) = diags(report, "R105")
-        assert note.severity is Severity.INFO
-        assert "alpha-acyclic" in note.message
-        assert "join-tree depth 2" in note.message
-        assert "--no-acyclic-fast-path" in note.message
-
-    def test_cyclic_query_reports_irreducible_core(self):
-        report = analyze(parse_query("q(X) :- e(X, Y), e(Y, Z), e(Z, X)"))
-        (note,) = diags(report, "R105")
-        assert "cyclic" in note.message
-        assert "GYO residue" in note.message
-        # The triangle's residue is all three binary edges.
-        assert note.message.count("{") == 3
-
-    def test_comparison_query_reports_general_path(self):
-        report = analyze(parse_query("q(X, Y) :- e(X, Z), e(Z, Y), X < Y"))
-        (note,) = diags(report, "R105")
-        assert "comparison" in note.message
-        assert "general" in note.message
-
-    def test_single_atom_query_has_no_note(self):
-        report = analyze(parse_query("q(X, Y) :- e(X, Y)"))
-        assert "R105" not in codes(report)
-
-    def test_single_relational_atom_with_comparison_has_no_note(self):
-        report = analyze(parse_query("q(X, Y) :- e(X, Y), X < Y"))
-        assert "R105" not in codes(report)

@@ -1,6 +1,7 @@
 """Tests for the homomorphism search engine."""
 
 from repro.containment import find_homomorphism, find_homomorphisms, unify_atom
+from repro.containment.homomorphism import observe_searches
 from repro.datalog import Atom, Constant, Substitution, Variable
 
 
@@ -95,3 +96,46 @@ class TestFindHomomorphisms:
     def test_empty_source_yields_seed(self):
         homs = list(find_homomorphisms([], [Atom("e", (a,))]))
         assert homs == [Substitution()]
+
+
+class _CountingObserver:
+    def __init__(self):
+        self.searches = 0
+        self.nodes = 0
+
+    def record_search(self):
+        self.searches += 1
+
+    def record_nodes(self, nodes):
+        self.nodes += nodes
+
+
+class _MinimalObserver:
+    """An observer implementing only the required protocol method."""
+
+    def __init__(self):
+        self.searches = 0
+
+    def record_search(self):
+        self.searches += 1
+
+
+class TestObserverAccounting:
+    def test_minimal_observer_keeps_working(self):
+        observer = _MinimalObserver()
+        source = [Atom("e", (X, Y)), Atom("e", (Y, Z))]
+        target = [Atom("e", (a, b)), Atom("e", (b, a))]
+        with observe_searches(observer):
+            assert len(list(find_homomorphisms(source, target))) == 2
+        assert observer.searches == 1
+
+    def test_nodes_flush_on_early_close(self):
+        observer = _CountingObserver()
+        source = [Atom("e", (X, Y)), Atom("e", (Y, Z))]
+        target = [Atom("e", (a, b)), Atom("e", (b, a)), Atom("e", (b, b))]
+        with observe_searches(observer):
+            iterator = find_homomorphisms(source, target)
+            next(iterator)
+            iterator.close()
+        assert observer.searches == 1
+        assert observer.nodes > 0

@@ -24,17 +24,6 @@ def views_file(tmp_path):
 class TestExitCodes:
     def test_clean_query_exits_zero(self, views_file, capsys):
         assert main(["lint", CLEAN, "--views", views_file]) == 0
-        # The acyclic-routing note (R105) is informational; the query is
-        # otherwise clean and still exits zero.
-        out = capsys.readouterr().out
-        assert "R105" in out
-        assert "0 error(s), 0 warning(s)" in out
-
-    def test_clean_query_without_routing_note(self, views_file, capsys):
-        code = main(
-            ["lint", CLEAN, "--views", views_file, "--ignore", "R105"]
-        )
-        assert code == 0
         assert "clean" in capsys.readouterr().out
 
     def test_error_diagnostic_exits_73(self, capsys):

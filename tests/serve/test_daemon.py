@@ -409,17 +409,13 @@ def test_stats_aggregate_profile_search_counters():
     daemon = PlanningDaemon(_config())
     for payload in (
         {"profile": {"phase_seconds": {"parse": 0.5, "set_cover": 0.25},
-                     "search": {"hom_searches": 3, "hom_nodes": 40,
-                                "fast_path_searches": 2}}},
+                     "search": {"hom_searches": 3, "hom_nodes": 40}}},
         {"profile": {"phase_seconds": {"parse": 0.25},
-                     "search": {"hom_searches": 1, "hom_nodes": 5,
-                                "fast_path_searches": 0}}},
+                     "search": {"hom_searches": 1, "hom_nodes": 5}}},
         {"profile": None},  # unprofiled outcomes are ignored
     ):
         daemon._absorb_profile(payload)
     profile = daemon.stats()["profile"]
     assert profile["requests"] == 2
     assert profile["phase_seconds"]["parse"] == 0.75
-    assert profile["search"] == {
-        "hom_searches": 4, "hom_nodes": 45, "fast_path_searches": 2
-    }
+    assert profile["search"] == {"hom_searches": 4, "hom_nodes": 45}
