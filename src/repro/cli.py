@@ -46,9 +46,9 @@ Subcommands::
   emits one JSON outcome per line: status, attempts, backend used,
   breaker states, degraded flag.  Failures never abort the batch; the
   process exit code summarizes them afterwards.  ``--workers N`` fans
-  the batch across the :mod:`repro.parallel` process pool (outcomes
-  stay in input order); ``--profile`` attaches a phase-level profile to
-  every outcome line.  ``plan`` is an alias of ``rewrite``.
+  the batch across the :mod:`repro.parallel` supervised worker pool
+  (outcomes stay in input order); ``--profile`` attaches a phase-level
+  profile to every outcome line.  ``plan`` is an alias of ``rewrite``.
 * ``serve`` is the resident planning daemon (:mod:`repro.serve`):
   ``serve run`` listens on TCP/Unix for newline-delimited JSON plan
   requests (batch schema plus ``catalog``/``tenant``), with bounded
@@ -63,10 +63,8 @@ Subcommands::
 * ``figures`` regenerates the Section 7 experiment series (delegates to
   :mod:`repro.experiments.figures`).
 
-``--algorithm`` and ``--model`` still work as deprecated aliases for
-``--backend`` and ``--cost-model``.  As a convenience, ``python -m repro
-"q(X) :- ..." --views v.dl --backend minicon`` (no subcommand) is treated
-as ``rewrite``.
+As a convenience, ``python -m repro "q(X) :- ..." --views v.dl --backend
+minicon`` (no subcommand) is treated as ``rewrite``.
 
 Queries can be given inline or as ``@path/to/file``; view files contain
 one datalog rule per line (``#``/``%`` comments allowed).
@@ -574,25 +572,31 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         lines = Path(args.requests).read_text().splitlines()
     requests = parse_requests(lines, views, default_budget=_build_budget(args))
 
-    engine = None
+    pool = None
     if args.workers != 1:
-        # 0 = auto (one worker per CPU).  The engine materializes and
-        # validates every request before the first outcome; the serial
-        # path below streams outcomes until an intake error aborts it.
-        from .parallel import ParallelPlanningEngine, ParallelPolicy
+        # <= 0 = auto (one worker per CPU).  Every request is parsed and
+        # validated before the first outcome; the serial path below
+        # streams outcomes until an intake error aborts it.
+        from .parallel import SupervisedWorkerPool, SupervisorPolicy
+        from .parallel.worker import WorkerConfig
 
-        engine = ParallelPlanningEngine(
-            policy,
-            parallel=ParallelPolicy(
-                workers=None if args.workers == 0 else args.workers,
+        requests = list(requests)
+        pool = SupervisedWorkerPool(
+            WorkerConfig(
+                policy=policy,
+                cache_dir=args.cache,
+                cache_ttl=args.cache_ttl,
+                strict_cache=args.strict_cache,
+                profile=args.profile,
+            ),
+            policy=SupervisorPolicy(
+                workers=(
+                    args.workers if args.workers > 0 else os.cpu_count() or 1
+                ),
                 task_grace_seconds=args.task_grace,
             ),
-            cache_dir=args.cache,
-            cache_ttl=args.cache_ttl,
-            strict_cache=args.strict_cache,
-            profile=args.profile,
-        )
-        outcomes = engine.run(requests)
+        ).start()
+        outcomes = pool.map(requests)
     else:
         cache = None
         if args.cache is not None:
@@ -606,6 +610,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
         outcomes = run_batch(executor, requests)
 
+    try:
+        return _emit_batch(args, outcomes, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(drain=False)
+
+
+def _emit_batch(args: argparse.Namespace, outcomes, pool) -> int:
+    """Print every batch outcome, then the summary; raise the last error."""
     counts = {"ok": 0, "degraded": 0, "failed": 0}
     last_error: BaseException | None = None
     for outcome in outcomes:
@@ -624,21 +637,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             )
             for rewriting in outcome.rewritings:
                 print("   ", rewriting)
-    if engine is not None and engine.fell_back_to_serial:
-        print(
-            f"batch: ran in-process ({engine.fallback_reason})",
-            file=sys.stderr,
-        )
-    if engine is not None and args.profile:
+    if pool is not None and args.profile:
         # One JSON line so scripts can read the warm-context economics:
         # exact root matches, small-delta upgrades, and cold starts.
         print(
             json.dumps(
                 {
                     "context_pool": {
-                        "hits": engine.pool_hits,
-                        "delta_hits": engine.pool_delta_hits,
-                        "misses": engine.pool_misses,
+                        "hits": pool.pool_hits,
+                        "delta_hits": pool.pool_delta_hits,
+                        "misses": pool.pool_misses,
                     }
                 }
             ),
@@ -703,7 +711,6 @@ def _cmd_serve_run(args: argparse.Namespace) -> int:
         ),
         supervisor=SupervisorPolicy(
             workers=args.workers,
-            pool_size=args.pool_size,
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_grace=args.heartbeat_grace,
             recycle_after_requests=args.recycle_after,
@@ -890,24 +897,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         forwarded.extend(["--queries", str(args.queries)])
     if args.csv:
         forwarded.extend(["--csv", args.csv])
-    if args.workers != 1:
-        forwarded.extend(["--workers", str(args.workers)])
     return figures.main(forwarded)
-
-
-class _DeprecatedAlias(argparse.Action):
-    """Stores the value like ``store`` but notes the preferred spelling."""
-
-    def __init__(self, option_strings, dest, preferred: str = "", **kwargs):
-        self.preferred = preferred
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"note: {option_string} is deprecated; use {self.preferred}",
-            file=sys.stderr,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -928,11 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--backend", default="corecover", metavar="NAME",
             help="rewriter backend (see repro.planner.available_backends())",
-        )
-        command.add_argument(
-            "--algorithm", dest="backend", metavar="NAME",
-            action=_DeprecatedAlias, preferred="--backend",
-            help="(deprecated) alias for --backend",
         )
         command.add_argument("--limit", type=int, default=64,
                              help="cap on enumerated rewritings")
@@ -981,11 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--cost-model", default="m2", metavar="NAME",
         help="cost model (see repro.cost.available_cost_models())",
-    )
-    optimize.add_argument(
-        "--model", dest="cost_model", metavar="NAME",
-        action=_DeprecatedAlias, preferred="--cost-model",
-        help="(deprecated) alias for --cost-model",
     )
     optimize.add_argument(
         "--annotator", choices=["supplementary", "heuristic"],
@@ -1164,8 +1144,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the parallel planning engine "
-             "(default 1 = in-process; 0 = one per CPU)",
+        help="worker processes in the supervised worker pool "
+             "(default 1 = in-process; 0 or less = one per CPU)",
     )
     batch.add_argument(
         "--task-grace", type=float, default=5.0, metavar="SECONDS",
@@ -1371,10 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--full", action="store_true")
     figures.add_argument("--queries", type=int, default=None)
     figures.add_argument("--csv", metavar="DIR", default=None)
-    figures.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the sweep (0 = one per CPU)",
-    )
     figures.set_defaults(func=_cmd_figures)
 
     return parser
@@ -1382,14 +1358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Convenience: a query with --backend/--algorithm but no subcommand is
-    # a rewrite, so `python -m repro "q(X) :- ..." --views v --backend b`
-    # works directly.
+    # Convenience: a query with --backend but no subcommand is a rewrite,
+    # so `python -m repro "q(X) :- ..." --views v --backend b` works
+    # directly.
     if (
         argv
         and argv[0] not in _SUBCOMMANDS
         and not argv[0].startswith("-")
-        and ("--backend" in argv or "--algorithm" in argv)
+        and "--backend" in argv
     ):
         argv = ["rewrite", *argv]
     args = build_parser().parse_args(argv)

@@ -278,8 +278,9 @@ class WorkerCrashError(ServiceError):
 
     Raised into the ``failed`` outcome line of exactly the request the
     dead worker was serving — sibling requests in the same batch are
-    unaffected, because the process pool replaces the worker and lost
-    tasks are detected per-line by the parent's task timeout.
+    unaffected, because the supervised pool replaces the worker and
+    detects a lost task by the worker's death, its task timeout, or its
+    stale heartbeat.
     ``request_id`` echoes the lost request when known.
     """
 

@@ -90,12 +90,10 @@ def run_figure(
     view_counts: Sequence[int] | None = None,
     queries_per_point: int = 40,
     seed: int = 1,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Run the sweep behind one figure and return its points."""
     return run_sweep(
-        sweep_config_for(figure, view_counts, queries_per_point, seed),
-        workers=workers,
+        sweep_config_for(figure, view_counts, queries_per_point, seed)
     )
 
 
@@ -151,19 +149,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--csv", metavar="DIR", default=None,
         help="also write <figure>.csv files into this directory",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for each sweep point (0 = one per CPU)",
-    )
     args = parser.parse_args(argv)
 
     view_counts = FULL_VIEW_COUNTS if args.full else QUICK_VIEW_COUNTS
     queries = args.queries if args.queries else (40 if args.full else 10)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
-        points = run_figure(
-            name, view_counts, queries, args.seed, args.workers
-        )
+        points = run_figure(name, view_counts, queries, args.seed)
         print_figure(points, name)
         if args.csv:
             import os

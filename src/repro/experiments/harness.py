@@ -16,12 +16,7 @@ from typing import Callable, Sequence
 
 from ..core.corecover import CoreCoverResult, core_cover
 from ..planner.context import PlannerContext
-from ..workload.generator import (
-    WorkloadConfig,
-    WorkloadError,
-    generate_workload,
-    workload_series,
-)
+from ..workload.generator import WorkloadConfig, workload_series
 
 
 @dataclass(frozen=True)
@@ -122,21 +117,12 @@ class _PointSamples:
         )
 
 
-#: Algorithm identity -> planner-registry backend name for the
-#: parallel (``plan_map``) sweep path.
-_ALGORITHM_BACKENDS: dict[str, str] = {
-    "core_cover": "corecover",
-    "core_cover_star": "corecover-star",
-}
-
-
 def run_sweep(
     config: SweepConfig,
     algorithm: Callable[..., CoreCoverResult] = core_cover,
     group_views: bool = True,
     group_tuples: bool = True,
     caching: bool | None = None,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Run CoreCover over the sweep, averaging per view count.
 
@@ -149,23 +135,7 @@ def run_sweep(
     through all queries of each sweep point, so structurally repeated
     view definitions are planned once per point; ``None`` keeps the
     legacy behaviour of a private context per call.
-
-    ``workers > 1`` (or ``0`` = one per CPU) fans each point's queries
-    across the :mod:`repro.parallel` process pool.  Only the named
-    registry algorithms (``core_cover``, ``core_cover_star``) can cross
-    the process boundary; timings are then the worker-side ``plan()``
-    wall times.  Shared-context caching becomes per-worker, so cache-hit
-    statistics are slightly lower than the serial single-context run.
     """
-    if workers != 1:
-        return _run_sweep_parallel(
-            config,
-            algorithm,
-            group_views=group_views,
-            group_tuples=group_tuples,
-            caching=caching,
-            workers=workers,
-        )
     points = []
     for num_views in config.view_counts:
         template = config.workload_config(num_views)
@@ -187,61 +157,6 @@ def run_sweep(
                 gmr_count=len(result.rewritings),
                 gmr_size=(
                     (result.minimum_subgoals() or 0)
-                    if result.has_rewriting
-                    else None
-                ),
-            )
-        points.append(samples.to_point(num_views, config.queries_per_point))
-    return points
-
-
-def _run_sweep_parallel(
-    config: SweepConfig,
-    algorithm: Callable[..., CoreCoverResult],
-    *,
-    group_views: bool,
-    group_tuples: bool,
-    caching: bool | None,
-    workers: int,
-) -> list[SweepPoint]:
-    from ..parallel import PlanTask, plan_map
-
-    backend = _ALGORITHM_BACKENDS.get(getattr(algorithm, "__name__", ""))
-    if backend is None:
-        raise ValueError(
-            "workers > 1 requires a registry algorithm "
-            f"({', '.join(sorted(_ALGORITHM_BACKENDS))}); got "
-            f"{getattr(algorithm, '__name__', algorithm)!r}"
-        )
-    points = []
-    for num_views in config.view_counts:
-        template = config.workload_config(num_views)
-        tasks = [
-            PlanTask(
-                query=workload.query,
-                views=workload.views,
-                backend=backend,
-                options={
-                    "group_views": group_views,
-                    "group_tuples": group_tuples,
-                },
-                caching=caching,
-            )
-            for workload in workload_series(
-                template, config.queries_per_point
-            )
-        ]
-        samples = _PointSamples()
-        for result in plan_map(tasks, workers=workers):
-            stats = result.stats
-            if stats is None:  # pragma: no cover - corecover always reports
-                continue
-            samples.add(
-                time_ms=result.elapsed_seconds * 1000.0,
-                stats=stats,
-                gmr_count=len(result.rewritings),
-                gmr_size=(
-                    result.minimum_subgoals
                     if result.has_rewriting
                     else None
                 ),

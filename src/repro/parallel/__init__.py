@@ -1,52 +1,40 @@
-"""Process-pool parallel planning: batch fan-out and warm context pools.
+"""The supervised worker pool and its warm planner-context pools.
 
 Public surface:
 
-* :class:`ParallelPlanningEngine` — ``repro batch --workers N``: fans
-  service-layer requests across a process pool, outcomes in input
-  order, with per-worker warm planner-context pools, breaker-delta
-  merging, and per-task crash isolation.
-* :func:`plan_map` — the experiment harness's lighter fan-out of bare
-  ``plan()`` calls.
+* :class:`SupervisedWorkerPool` / :class:`SupervisorPolicy` — the one
+  process pool: heartbeat supervision, crash isolation with restart,
+  recycling, drain-aware shutdown.  The :mod:`repro.serve` daemon keeps
+  one resident; ``repro batch --workers N`` runs a finite workload
+  through :meth:`SupervisedWorkerPool.map`, outcomes in input order.
+  Per-worker breaker deltas merge into a :class:`BreakerScoreboard`.
+* :class:`WorkerState` / :class:`WorkerConfig` — what each worker
+  process holds: a resilient executor plus a warm context pool.
 * :class:`PlannerContextPool` / :func:`catalog_fingerprint` — the warm
-  context pool and its structured, delta-aware catalog fingerprint
-  (:func:`context_fingerprint` is the legacy whole-catalog string key).
-* :class:`SupervisedWorkerPool` / :class:`SupervisorPolicy` — the
-  :mod:`repro.serve` daemon's long-lived pool: heartbeat supervision,
-  crash isolation with restart, recycling, drain-aware shutdown.
+  context pool and its structured, delta-aware catalog fingerprint.
 """
 
-from .engine import (
+from .supervisor import (
     BreakerScoreboard,
-    ParallelPlanningEngine,
-    ParallelPolicy,
-    plan_map,
+    SupervisedWorkerPool,
+    SupervisorPolicy,
 )
-from .supervisor import SupervisedWorkerPool, SupervisorPolicy
 from .pool import (
     CatalogFingerprint,
     PlannerContextPool,
     catalog_fingerprint,
-    context_fingerprint,
 )
 from .worker import (
-    PlanTask,
-    PlanTaskResult,
     WorkerConfig,
     WorkerResult,
     WorkerState,
     WorkerTask,
     crash_outcome,
-    run_plan_task,
 )
 
 __all__ = [
     "BreakerScoreboard",
     "CatalogFingerprint",
-    "ParallelPlanningEngine",
-    "ParallelPolicy",
-    "PlanTask",
-    "PlanTaskResult",
     "PlannerContextPool",
     "SupervisedWorkerPool",
     "SupervisorPolicy",
@@ -55,8 +43,5 @@ __all__ = [
     "WorkerState",
     "WorkerTask",
     "catalog_fingerprint",
-    "context_fingerprint",
     "crash_outcome",
-    "plan_map",
-    "run_plan_task",
 ]

@@ -1,16 +1,20 @@
-"""Long-lived supervised worker pool for the :mod:`repro.serve` daemon.
+"""The one worker-process pool: ``repro batch --workers N`` and ``serve``.
 
-The batch engine (:class:`~repro.parallel.engine.ParallelPlanningEngine`)
-materializes a finite workload, fans it over a ``multiprocessing.Pool``
-and tears the pool down; a resident daemon needs the opposite shape — a
-pool that outlives any one request and *supervises* its workers:
+:class:`SupervisedWorkerPool` is a long-lived pool that *supervises*
+its workers.  The :mod:`repro.serve` daemon keeps one for its whole
+residency and feeds it through :meth:`SupervisedWorkerPool.submit`;
+``repro batch`` starts one per run and walks a finite workload through
+:meth:`SupervisedWorkerPool.map`, outcomes in input order.
 
 * **Heartbeats** — each worker runs a daemon thread stamping a shared
   ``Value('d')`` with ``time.monotonic()`` (system-wide monotonic on
   Linux, so parent and child readings compare directly).  A worker whose
   heartbeat goes stale past ``heartbeat_grace`` — SIGSTOPped, wedged in
   native code, or silently gone — is killed and replaced even when no
-  request is in flight to notice.
+  request is in flight to notice.  The same thread exits the worker
+  when its parent is gone (reparented: ``os.getppid()`` changed), so a
+  SIGKILLed parent leaves no orphans blocked on a pipe that a sibling
+  still holds open.
 * **Crash isolation** — one dispatcher thread per worker slot walks a
   shared ticket queue.  While a request is in flight the dispatcher
   polls the worker pipe in short slices, watching the task deadline,
@@ -21,9 +25,9 @@ pool that outlives any one request and *supervises* its workers:
   request: dispatch retries once on the fresh replacement.
 * **Scoreboard merge on restart** — workers report per-task breaker
   *deltas* (:attr:`WorkerResult.breaker_deltas`), so the parent
-  scoreboard accumulates exactly the work each incarnation actually
-  did; a replacement worker starts from zeroed breakers and cannot
-  double-count its predecessor's totals.
+  :class:`BreakerScoreboard` accumulates exactly the work each
+  incarnation actually did; a replacement worker starts from zeroed
+  breakers and cannot double-count its predecessor's totals.
 * **Recycling** — after ``recycle_after_requests`` served, or when the
   worker's resident set (``/proc/<pid>/statm``) crosses
   ``max_rss_bytes``, the worker is retired gracefully between requests
@@ -49,13 +53,14 @@ import queue
 import signal
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..errors import ServiceError, ShuttingDownError, WorkerCrashError
-from ..testing.faults import fire
-from .engine import BreakerScoreboard
+from ..service.executor import ExecutionOutcome, PlanRequest
+from ..testing.faults import Fault, fire
 from .worker import (
     WorkerConfig,
     WorkerResult,
@@ -64,7 +69,7 @@ from .worker import (
     crash_outcome,
 )
 
-__all__ = ["SupervisedWorkerPool", "SupervisorPolicy"]
+__all__ = ["BreakerScoreboard", "SupervisedWorkerPool", "SupervisorPolicy"]
 
 #: Retire request: an empty frame tells the worker loop to exit cleanly.
 _RETIRE = b""
@@ -74,10 +79,9 @@ _RETIRE = b""
 class SupervisorPolicy:
     """How the supervised pool sizes, watches, and recycles workers."""
 
-    #: Worker processes (long-lived; each holds a warm context pool).
+    #: Worker processes (long-lived; each holds a warm context pool of
+    #: ``WorkerConfig.pool_size`` entries).
     workers: int = 2
-    #: Warm planner-context pool entries per worker.
-    pool_size: int = 4
     #: Seconds between heartbeat stamps (worker) and sweeps (parent).
     heartbeat_interval: float = 0.25
     #: A heartbeat older than this marks the worker hung/killed.
@@ -93,6 +97,31 @@ class SupervisorPolicy:
     default_task_timeout: float | None = None
     #: Pipe-poll slice while a request is in flight (liveness check cadence).
     poll_slice_seconds: float = 0.05
+
+
+class BreakerScoreboard:
+    """Per-backend breaker totals merged from worker deltas."""
+
+    def __init__(self) -> None:
+        self.successes: dict[str, int] = {}
+        self.failures: dict[str, int] = {}
+
+    def merge(self, deltas: Mapping[str, tuple[int, int]]) -> None:
+        """Add one task's ``(successes, failures)`` deltas."""
+        for name, (successes, failures) in deltas.items():
+            self.successes[name] = self.successes.get(name, 0) + successes
+            self.failures[name] = self.failures.get(name, 0) + failures
+
+    def summary(self) -> dict[str, dict[str, int]]:
+        """``{backend: {successes, failures}}``, backends sorted."""
+        names = sorted(set(self.successes) | set(self.failures))
+        return {
+            name: {
+                "successes": self.successes.get(name, 0),
+                "failures": self.failures.get(name, 0),
+            }
+            for name in names
+        }
 
 
 def _rss_bytes(pid: int | None) -> int | None:
@@ -115,6 +144,9 @@ def _supervised_worker_main(
     interval: float,
 ) -> None:
     """Child process entry: heartbeat thread + task recv/serve loop."""
+    # Read in the child, not passed from the pool: under the forkserver
+    # start method the parent is the fork server, not the pool process.
+    parent_pid = os.getppid()
     # The parent coordinates shutdown through the pipe and SIGKILL;
     # a terminal Ctrl+C must not race the drain protocol.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -122,6 +154,11 @@ def _supervised_worker_main(
 
     def _beat() -> None:
         while not stop.is_set():
+            if os.getppid() != parent_pid:
+                # Orphaned: the parent died without retiring us, and a
+                # sibling's inherited copy of our pipe keeps recv_bytes
+                # from ever seeing EOF.
+                os._exit(0)
             heartbeat.value = time.monotonic()
             stop.wait(interval)
 
@@ -219,6 +256,15 @@ class _WorkerSlot:
         self.lock = threading.Lock()
 
 
+def _settled(future: "Future[WorkerResult]") -> ExecutionOutcome:
+    """The outcome *future* settles to; a carried input error re-raises."""
+    result = future.result()
+    if result.error is not None:
+        raise result.error
+    assert result.outcome is not None  # error/outcome is exhaustive
+    return result.outcome
+
+
 class SupervisedWorkerPool:
     """A restartable worker pool with heartbeats, recycling, and drain."""
 
@@ -229,11 +275,7 @@ class SupervisedWorkerPool:
         policy: SupervisorPolicy | None = None,
     ) -> None:
         self.policy = policy if policy is not None else SupervisorPolicy()
-        self.config = (
-            config
-            if config is not None
-            else WorkerConfig(pool_size=self.policy.pool_size)
-        )
+        self.config = config if config is not None else WorkerConfig()
         self._ctx = multiprocessing.get_context()
         self.scoreboard = BreakerScoreboard()
         self.pool_hits = 0
@@ -365,6 +407,31 @@ class SupervisedWorkerPool:
             self._outstanding += 1
         self._tasks.put(ticket)
         return future
+
+    def map(
+        self,
+        requests: Iterable[PlanRequest],
+        *,
+        chaos: Mapping[int, tuple[Fault, ...]] | None = None,
+    ) -> Iterator[ExecutionOutcome]:
+        """Yield the outcome of each request, in input order.
+
+        At most two tasks per worker are queued at once, so a long
+        batch holds a bounded number of pickled catalogs in the parent.
+        *chaos* maps input indexes to faults activated worker-side around
+        just that task.  An input error re-raises here when its turn
+        comes, so the batch stops with the same taxonomy exit code as
+        the serial path.
+        """
+        faults = chaos or {}
+        window: deque[Future[WorkerResult]] = deque()
+        for index, request in enumerate(requests):
+            task = WorkerTask(index, request, tuple(faults.get(index, ())))
+            window.append(self.submit(task))
+            if len(window) >= 2 * len(self._slots):
+                yield _settled(window.popleft())
+        while window:
+            yield _settled(window.popleft())
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch_loop(self, slot: _WorkerSlot) -> None:

@@ -1,4 +1,4 @@
-"""Worker-side state for the parallel planning engine.
+"""Worker-side state for the supervised worker pool.
 
 Each pool worker holds one :class:`WorkerState`: a resilient executor
 (whose circuit breakers span every request the worker serves, matching
@@ -19,21 +19,13 @@ dataclass:
   ``error`` so the parent re-raises them with the same taxonomy
   exit-code semantics as the serial path; any other worker-side
   exception degrades to a ``failed`` outcome for that request alone.
-
-The module also hosts the lighter *plan-map* path
-(:class:`PlanTask`/:func:`run_plan_task`) the experiment harness fans
-out over: one bare ``plan()`` call per task, same warm context pool,
-no service layer.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.corecover import CoreCoverStats
-from ..datalog.query import ConjunctiveQuery
 from ..errors import ReproError, ServiceError, WorkerCrashError
 from ..planner.context import PlannerContext, PlannerStats
 from ..service.cache import PlanCache
@@ -45,18 +37,14 @@ from ..service.executor import (
 )
 from ..service.policy import ServicePolicy
 from ..testing.faults import Fault, fire, inject
-from ..views.view import ViewCatalog
-from .pool import PlannerContextPool, context_fingerprint
+from .pool import PlannerContextPool
 
 __all__ = [
-    "PlanTask",
-    "PlanTaskResult",
     "WorkerConfig",
     "WorkerResult",
     "WorkerState",
     "WorkerTask",
     "crash_outcome",
-    "run_plan_task",
 ]
 
 
@@ -220,104 +208,3 @@ class WorkerState:
             )
         finally:
             self._active_context = None
-
-
-#: The per-process state a pool initializer installs (batch path).
-_STATE: WorkerState | None = None
-
-
-def _init_worker(config: WorkerConfig) -> None:
-    global _STATE
-    _STATE = WorkerState(config)
-
-
-def _run_task(task: WorkerTask) -> WorkerResult:
-    assert _STATE is not None  # the pool initializer always ran
-    return _STATE.run(task)
-
-
-# -- the plan-map path (experiment harness) ---------------------------------
-
-
-@dataclass(frozen=True)
-class PlanTask:
-    """One bare ``plan()`` call for :func:`repro.parallel.plan_map`."""
-
-    query: ConjunctiveQuery
-    views: ViewCatalog
-    backend: str = "corecover"
-    options: Mapping = field(default_factory=dict)
-    #: ``None`` = a private context per call (the harness's legacy
-    #: behaviour); ``True``/``False`` = a pooled shared context with
-    #: memoization on/off.
-    caching: bool | None = None
-
-
-@dataclass(frozen=True)
-class PlanTaskResult:
-    """The picklable summary a plan task returns."""
-
-    rewritings: tuple[str, ...]
-    stats: CoreCoverStats | None
-    #: Worker-side wall time of the ``plan()`` call.
-    elapsed_seconds: float
-    minimum_subgoals: int | None
-
-    @property
-    def has_rewriting(self) -> bool:
-        return bool(self.rewritings)
-
-
-#: The per-process warm pool for plan tasks (lazy for the serial path).
-_PLAN_STATE: PlannerContextPool | None = None
-_PLAN_POOL_SIZE = 4
-
-
-def _init_plan_worker(pool_size: int) -> None:
-    global _PLAN_STATE, _PLAN_POOL_SIZE
-    _PLAN_POOL_SIZE = pool_size
-    _PLAN_STATE = PlannerContextPool(pool_size)
-
-
-def _plan_pool() -> PlannerContextPool:
-    global _PLAN_STATE
-    if _PLAN_STATE is None:
-        _PLAN_STATE = PlannerContextPool(_PLAN_POOL_SIZE)
-    return _PLAN_STATE
-
-
-def run_plan_task(task: PlanTask) -> PlanTaskResult:
-    """Execute one plan task against the worker's warm context pool."""
-    from ..planner.registry import plan
-
-    fire("worker_dispatch")
-    context: PlannerContext | None = None
-    if task.caching is not None:
-        caching = bool(task.caching)
-        fingerprint = context_fingerprint(
-            task.views, {"backend": task.backend, "caching": caching}
-        )
-        context, _ = _plan_pool().acquire(
-            fingerprint,
-            factory=lambda: PlannerContext(caching=caching),
-        )
-    started = time.perf_counter()
-    result = plan(
-        task.query,
-        task.views,
-        backend=task.backend,
-        context=context,
-        **dict(task.options),
-    )
-    elapsed = time.perf_counter() - started
-    details = result.details
-    stats = getattr(details, "stats", None)
-    minimum = None
-    if details is not None and hasattr(details, "minimum_subgoals"):
-        minimum = details.minimum_subgoals()
-    return PlanTaskResult(
-        rewritings=tuple(str(r) for r in result.rewritings),
-        stats=stats if isinstance(stats, CoreCoverStats) else None,
-        elapsed_seconds=elapsed,
-        minimum_subgoals=minimum,
-    )

@@ -1,6 +1,6 @@
 """Pickle-safe interning for terms, atoms, and substitutions.
 
-The parallel engine ships queries, catalogs, and outcomes across a
+The worker pool ships queries, catalogs, and outcomes across a
 process boundary.  ``__reduce__`` on :class:`Variable`, :class:`Constant`
 and :class:`Atom` routes unpickling through module-level intern pools,
 so two copies of one object that cross a pickle round trip collapse back

@@ -45,7 +45,7 @@ class TestRewrite:
         query, views, _data = clp_files
         code = main(
             ["rewrite", query, "--views", views,
-             "--algorithm", "corecover-star", "--verbose"]
+             "--backend", "corecover-star", "--verbose"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -56,7 +56,7 @@ class TestRewrite:
         query, views, _data = clp_files
         for algorithm in ("naive", "minicon", "bucket"):
             assert main(
-                ["rewrite", query, "--views", views, "--algorithm", algorithm]
+                ["rewrite", query, "--views", views, "--backend", algorithm]
             ) == 0
 
     def test_no_rewriting_exit_code(self, tmp_path, capsys):
@@ -78,7 +78,7 @@ class TestOptimize:
         query, views, data = clp_files
         assert main(
             ["optimize", query, "--views", views, "--data", data,
-             "--model", "m1"]
+             "--cost-model", "m1"]
         ) == 0
         assert "M1-optimal" in capsys.readouterr().out
 
@@ -86,7 +86,7 @@ class TestOptimize:
         query, views, data = clp_files
         code = main(
             ["optimize", query, "--views", views, "--data", data,
-             "--model", "m2", "--filters"]
+             "--cost-model", "m2", "--filters"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -97,7 +97,7 @@ class TestOptimize:
         query, views, data = clp_files
         code = main(
             ["optimize", query, "--views", views, "--data", data,
-             "--model", "m3", "--annotator", "heuristic"]
+             "--cost-model", "m3", "--annotator", "heuristic"]
         )
         assert code == 0
         assert "M3-optimal" in capsys.readouterr().out

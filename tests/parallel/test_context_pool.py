@@ -4,11 +4,7 @@ import pytest
 
 from repro import ViewCatalog, parse_query
 from repro.views import as_view
-from repro.parallel import (
-    PlannerContextPool,
-    catalog_fingerprint,
-    context_fingerprint,
-)
+from repro.parallel import PlannerContextPool, catalog_fingerprint
 from repro.parallel.worker import WorkerConfig, WorkerState, WorkerTask
 from repro.service import PlanRequest, ServicePolicy
 
@@ -29,45 +25,60 @@ QUERY = "q(X, Y) :- a(X, Z), a(Z, Z), b(Z, Y)"
 
 class TestFingerprint:
     def test_same_catalog_and_config_same_fingerprint(self, catalog):
-        fp1 = context_fingerprint(catalog, {"chain": ["corecover"]})
-        fp2 = context_fingerprint(
+        fp1 = catalog_fingerprint(catalog, {"chain": ["corecover"]})
+        fp2 = catalog_fingerprint(
             ViewCatalog(list(catalog)), {"chain": ["corecover"]}
         )
-        assert fp1 == fp2
+        assert fp1.key == fp2.key
 
     def test_different_catalog_different_fingerprint(self, catalog):
         other = ViewCatalog(["v1(A, B) :- a(A, B)"])
-        assert context_fingerprint(catalog) != context_fingerprint(other)
+        assert catalog_fingerprint(catalog).key != (
+            catalog_fingerprint(other).key
+        )
 
     def test_different_config_different_fingerprint(self, catalog):
-        assert context_fingerprint(
+        assert catalog_fingerprint(
             catalog, {"chain": ["corecover"]}
-        ) != context_fingerprint(catalog, {"chain": ["bucket"]})
+        ).key != catalog_fingerprint(catalog, {"chain": ["bucket"]}).key
 
     def test_config_key_order_is_canonical(self, catalog):
-        assert context_fingerprint(
+        assert catalog_fingerprint(
             catalog, {"a": 1, "b": 2}
-        ) == context_fingerprint(catalog, {"b": 2, "a": 1})
+        ).key == catalog_fingerprint(catalog, {"b": 2, "a": 1}).key
+
+
+def _disjoint_catalogs(count):
+    """Catalogs far enough apart (> max_delta_views) never delta-match."""
+    return [
+        ViewCatalog(
+            [f"{name}{i}(A) :- {name}(A, A)" for i in range(5)]
+        )
+        for name in "abcdefg"[:count]
+    ]
 
 
 class TestPoolLru:
-    def test_hit_returns_same_context(self):
+    def test_hit_returns_same_context(self, catalog):
         pool = PlannerContextPool(2)
-        first, hit1 = pool.acquire("fp-1")
-        again, hit2 = pool.acquire("fp-1")
-        assert not hit1 and hit2
+        first, event1 = pool.acquire_catalog(catalog)
+        again, event2 = pool.acquire_catalog(catalog)
+        assert (event1, event2) == ("miss", "exact")
         assert again is first
         assert pool.hits == 1 and pool.misses == 1
 
     def test_lru_eviction_drops_least_recent(self):
         pool = PlannerContextPool(2)
-        a, _ = pool.acquire("a")
-        pool.acquire("b")
-        pool.acquire("a")  # refresh a; b is now least-recent
-        pool.acquire("c")  # evicts b
-        assert "a" in pool and "c" in pool and "b" not in pool
+        a, b, c = _disjoint_catalogs(3)
+        context_a, _ = pool.acquire_catalog(a)
+        pool.acquire_catalog(b)
+        pool.acquire_catalog(a)  # refresh a; b is now least-recent
+        pool.acquire_catalog(c)  # evicts b
+        fingerprints = [catalog_fingerprint(cat) for cat in (a, b, c)]
+        assert fingerprints[0] in pool and fingerprints[2] in pool
+        assert fingerprints[1] not in pool
         assert pool.evictions == 1
-        assert pool.acquire("a")[0] is a
+        assert pool.acquire_catalog(a) == (context_a, "exact")
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ same exit code — including batches that mix successes with
 taxonomy-error lines.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -96,12 +95,16 @@ def test_json_output_matches_modulo_elapsed(workload_files, capsys):
 
 
 def test_engine_outcomes_match_serial_executor(workload_files):
-    """Engine-level equivalence: the same requests through the plain
-    resilient executor and a 2-worker engine agree on every outcome
-    field except wall-clock time."""
+    """Pool-level equivalence: the same requests through the plain
+    resilient executor and a 2-worker ``SupervisedWorkerPool.map`` agree
+    on every outcome field except wall-clock time."""
     from pathlib import Path
 
-    from repro.parallel import ParallelPlanningEngine, ParallelPolicy
+    from repro.parallel import (
+        SupervisedWorkerPool,
+        SupervisorPolicy,
+        WorkerConfig,
+    )
     from repro.service import (
         ResilientExecutor,
         ServicePolicy,
@@ -120,10 +123,10 @@ def test_engine_outcomes_match_serial_executor(workload_files):
         executor.execute(request)
         for request in parse_requests(lines, catalog)
     ]
-    engine = ParallelPlanningEngine(
-        policy, parallel=ParallelPolicy(workers=2)
-    )
-    parallel = list(engine.run(parse_requests(lines, catalog)))
+    with SupervisedWorkerPool(
+        WorkerConfig(policy=policy), policy=SupervisorPolicy(workers=2)
+    ) as pool:
+        parallel = list(pool.map(parse_requests(lines, catalog)))
 
     def normalize(outcome):
         payload = outcome.to_json()
@@ -133,51 +136,27 @@ def test_engine_outcomes_match_serial_executor(workload_files):
     assert [normalize(o) for o in serial] == [
         normalize(o) for o in parallel
     ]
-    summary = engine.scoreboard.summary()
+    summary = pool.scoreboard.summary()
     assert summary["corecover"]["successes"] == 4
     assert summary["corecover"]["failures"] == 0
 
 
-def test_run_sweep_parallel_matches_serial():
-    """Figure-workload equivalence: every non-time SweepPoint field is
-    identical between the serial and 2-worker sweeps."""
-    from repro.experiments.harness import SweepConfig, run_sweep
+@pytest.mark.parametrize("workers", [0, -3])
+def test_non_positive_workers_means_one_per_cpu(
+    workload_files, capsys, monkeypatch, workers
+):
+    from repro.parallel import SupervisedWorkerPool
 
-    config = SweepConfig(
-        shape="chain",
-        num_relations=6,
-        nondistinguished=0,
-        view_counts=(8, 12),
-        queries_per_point=3,
-        query_subgoals=4,
-        seed=7,
-    )
-    serial = run_sweep(config)
-    parallel = run_sweep(config, workers=2)
-    time_fields = {"mean_time_ms", "max_time_ms"}
-    for left, right in zip(serial, parallel, strict=True):
-        for field in dataclasses.fields(left):
-            if field.name in time_fields:
-                continue
-            assert getattr(left, field.name) == getattr(
-                right, field.name
-            ), field.name
+    started = []
+    real_start = SupervisedWorkerPool.start
 
+    def recording_start(self):
+        started.append(self.policy.workers)
+        return real_start(self)
 
-def test_run_sweep_rejects_unknown_algorithm_in_parallel():
-    from repro.experiments.harness import SweepConfig, run_sweep
-
-    config = SweepConfig(
-        shape="chain",
-        num_relations=6,
-        nondistinguished=0,
-        view_counts=(8,),
-        queries_per_point=2,
-        query_subgoals=4,
-    )
-
-    def mystery(query, views, **kwargs):  # pragma: no cover - never runs
-        raise AssertionError
-
-    with pytest.raises(ValueError, match="registry algorithm"):
-        run_sweep(config, mystery, workers=2)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr(SupervisedWorkerPool, "start", recording_start)
+    serial = _run_batch(workload_files, capsys, workers=1, fmt="text")
+    auto = _run_batch(workload_files, capsys, workers=workers, fmt="text")
+    assert started == [2]
+    assert auto == serial

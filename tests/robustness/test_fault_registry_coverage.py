@@ -21,9 +21,10 @@ from repro import (
     plan,
 )
 from repro.parallel import (
-    ParallelPlanningEngine,
-    ParallelPolicy,
     SupervisedWorkerPool,
+    WorkerConfig,
+    WorkerState,
+    WorkerTask,
 )
 from repro.serve.admission import AdmissionController
 from repro.service import ServicePolicy
@@ -77,11 +78,11 @@ def _exercise_cache_write(tmp_path):
 
 def _exercise_worker_dispatch():
     query, views = _workload()
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=1),  # serial path fires in-process
+    # The worker's own serve loop, run in-process so the point fires here.
+    state = WorkerState(
+        WorkerConfig(policy=ServicePolicy(chain=("corecover",)))
     )
-    list(engine.run([PlanRequest(query=query, views=views, id="r0")]))
+    state.run(WorkerTask(0, PlanRequest(query=query, views=views, id="r0")))
 
 
 def _exercise_catalog_delta():

@@ -1,4 +1,4 @@
-"""Chaos tests for the parallel engine's worker isolation.
+"""Chaos tests for worker isolation under ``SupervisedWorkerPool.map``.
 
 The contract under test: a worker that misbehaves — raises unexpectedly
 or dies outright (SIGKILL) — fails **only the request it was serving**.
@@ -9,10 +9,13 @@ arrive in input order.
 import pytest
 
 from repro import ViewCatalog, parse_query
-from repro.errors import WorkerCrashError
+from repro.errors import ParseError, WorkerCrashError
 from repro.parallel import (
-    ParallelPlanningEngine,
-    ParallelPolicy,
+    SupervisedWorkerPool,
+    SupervisorPolicy,
+    WorkerConfig,
+    WorkerState,
+    WorkerTask,
     crash_outcome,
 )
 from repro.planner.limits import ResourceBudget
@@ -45,6 +48,13 @@ def _requests(catalog, count, *, deadline=None):
     ]
 
 
+def _pool(**policy):
+    return SupervisedWorkerPool(
+        WorkerConfig(policy=ServicePolicy(chain=("corecover",))),
+        policy=SupervisorPolicy(**policy),
+    )
+
+
 def test_worker_dispatch_is_a_registered_injection_point():
     assert "worker_dispatch" in INJECTION_POINTS
 
@@ -52,12 +62,9 @@ def test_worker_dispatch_is_a_registered_injection_point():
 def test_poisoned_task_fails_alone_in_process_pool(catalog):
     """A worker-side unexpected exception on task 1 (workers=2)
     degrades that request to a failed outcome; r0 and r2 are fine."""
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=2),
-    )
     chaos = {1: (RaiseFault("worker_dispatch"),)}
-    outcomes = list(engine.run(_requests(catalog, 3), chaos=chaos))
+    with _pool(workers=2) as pool:
+        outcomes = list(pool.map(_requests(catalog, 3), chaos=chaos))
     assert [o.request_id for o in outcomes] == ["r0", "r1", "r2"]
     assert outcomes[0].ok and outcomes[2].ok
     poisoned = outcomes[1]
@@ -68,38 +75,53 @@ def test_poisoned_task_fails_alone_in_process_pool(catalog):
 
 
 def test_killed_worker_fails_only_its_own_request(catalog):
-    """SIGKILL mid-dispatch: the parent times the silence out at
-    deadline + grace and only the poisoned request fails."""
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=2, task_grace_seconds=1.0),
-    )
+    """The worker exits mid-dispatch: the supervisor sees it die, fails
+    only the poisoned request, and respawns the worker."""
     chaos = {1: (ExitFault("worker_dispatch"),)}
-    outcomes = list(
-        engine.run(_requests(catalog, 3, deadline=0.25), chaos=chaos)
-    )
+    with _pool(workers=2, task_grace_seconds=1.0) as pool:
+        outcomes = list(
+            pool.map(_requests(catalog, 3, deadline=5.0), chaos=chaos)
+        )
+        assert pool.crashes == 1
     assert [o.request_id for o in outcomes] == ["r0", "r1", "r2"]
     assert outcomes[0].ok and outcomes[2].ok
     killed = outcomes[1]
     assert killed.status == "failed"
     assert isinstance(killed.error, WorkerCrashError)
     assert killed.failures[0].backend == "worker"
-    assert "did not respond" in killed.failures[0].message
+    # "died" (pipe EOF) or "was killed" (reaped first): either way the
+    # supervisor saw the death itself, long before any deadline.
+    assert "mid-request" in killed.failures[0].message
 
 
 def test_serial_path_reports_crash_identically(catalog):
-    """The workers=1 fallback wraps the same unexpected exception in
-    the same WorkerCrashError outcome shape as the pool path."""
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=1),
+    """A worker's serve loop run in-process wraps the same unexpected
+    exception in the same WorkerCrashError outcome shape as the pool."""
+    state = WorkerState(
+        WorkerConfig(policy=ServicePolicy(chain=("corecover",)))
     )
-    chaos = {0: (RaiseFault("worker_dispatch"),)}
-    outcomes = list(engine.run(_requests(catalog, 2), chaos=chaos))
-    assert engine.fell_back_to_serial
+    requests = _requests(catalog, 2)
+    chaos = (RaiseFault("worker_dispatch"),)
+    outcomes = [
+        state.run(WorkerTask(0, requests[0], chaos)).outcome,
+        state.run(WorkerTask(1, requests[1])).outcome,
+    ]
     assert outcomes[0].status == "failed"
     assert isinstance(outcomes[0].error, WorkerCrashError)
     assert outcomes[1].ok
+
+
+def test_map_reraises_a_worker_side_input_error_in_input_order(catalog):
+    """An input error a worker hits ships back and re-raises in the
+    parent at its own position: earlier outcomes are already yielded,
+    and the error keeps its taxonomy exit code, as on the serial path."""
+    chaos = {1: (RaiseFault("worker_dispatch", make_exception=ParseError),)}
+    with _pool(workers=2) as pool:
+        outcomes = pool.map(_requests(catalog, 3), chaos=chaos)
+        assert next(outcomes).request_id == "r0"
+        with pytest.raises(ParseError) as excinfo:
+            next(outcomes)
+    assert excinfo.value.exit_code == 65
 
 
 def test_task_attached_chaos_does_not_leak_to_parent(catalog):
@@ -107,12 +129,9 @@ def test_task_attached_chaos_does_not_leak_to_parent(catalog):
     stays untouched (nothing active after the run)."""
     from repro.testing import faults
 
-    engine = ParallelPlanningEngine(
-        ServicePolicy(chain=("corecover",)),
-        parallel=ParallelPolicy(workers=2),
-    )
     chaos = {0: (RaiseFault("worker_dispatch"),)}
-    list(engine.run(_requests(catalog, 2), chaos=chaos))
+    with _pool(workers=2) as pool:
+        list(pool.map(_requests(catalog, 2), chaos=chaos))
     assert faults._ACTIVE is None
 
 

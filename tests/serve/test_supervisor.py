@@ -214,3 +214,92 @@ def test_submit_after_shutdown_sheds_with_taxonomy_error(catalog):
     with pytest.raises(ShuttingDownError) as excinfo:
         pool.submit(_task(catalog, 0))
     assert excinfo.value.exit_code == 79
+
+
+_ORPHAN_SCRIPT = """
+import json, multiprocessing, sys, time
+from repro import ViewCatalog, parse_query
+from repro.parallel import SupervisedWorkerPool, SupervisorPolicy
+from repro.service import PlanRequest
+multiprocessing.set_start_method(sys.argv[1])
+pool = SupervisedWorkerPool(
+    policy=SupervisorPolicy(workers=2, heartbeat_interval=0.1)
+).start()
+request = PlanRequest(
+    query=parse_query("q(X, Z) :- car(X, Y), loc(Y, Z)"),
+    views=ViewCatalog(["v1(X, Z) :- car(X, Y), loc(Y, Z)"]),
+)
+statuses = [outcome.status for outcome in pool.map([request] * 4)]
+pids = [slot.process.pid for slot in pool._slots]
+print(json.dumps({"pids": pids, "statuses": statuses}), flush=True)
+time.sleep(600)
+"""
+
+
+def _gone(pid):
+    """True once *pid* has exited (reaped, or a zombie awaiting reaping)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="needs procfs to watch pids"
+)
+@pytest.mark.parametrize("start_method", ["fork", "forkserver"])
+def test_workers_exit_when_their_parent_is_sigkilled(start_method):
+    """A SIGKILLed parent cannot retire its workers; each worker's
+    heartbeat thread notices the reparenting and exits on its own.  The
+    workers must first serve requests: under forkserver their parent is
+    the fork server, not the pool process."""
+    import json
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT, start_method],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    try:
+        report = json.loads(parent.stdout.readline())
+        pids = report["pids"]
+        assert report["statuses"] == ["ok"] * 4
+        assert len(pids) == 2 and not any(_gone(pid) for pid in pids)
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        parent.stdout.close()
+    grace = SupervisorPolicy().heartbeat_grace
+    assert _wait_until(lambda: all(_gone(pid) for pid in pids), grace)
+
+
+def test_map_keeps_a_bounded_submission_window(catalog):
+    """``map`` pulls at most two requests per worker ahead of the
+    outcome it yields, so a long batch never pickles its whole input."""
+    pulled = []
+
+    def requests():
+        for index in range(10):
+            pulled.append(index)
+            yield _task(catalog, index).request
+
+    pool = SupervisedWorkerPool(
+        _config(), policy=SupervisorPolicy(workers=1)
+    ).start()
+    try:
+        outcomes = pool.map(requests())
+        assert next(outcomes).status == "ok"
+        assert len(pulled) == 2
+        assert [o.status for o in outcomes] == ["ok"] * 9
+        assert len(pulled) == 10
+    finally:
+        pool.shutdown(drain=True, deadline=10.0)
