@@ -1,8 +1,8 @@
 """Semantic analysis rules: R101-R104.
 
 These rules reuse the paper's machinery through the shared
-:class:`~repro.planner.context.PlannerContext` — memoized containment for
-redundant-view detection (Section 5.2's motivation), the canonical
+:class:`~repro.planner.context.PlannerContext` — the planner's own view
+grouping for redundant-view detection (Section 5.2), the canonical
 database and view tuples for provably-unusable views (Section 3.3), and
 core computation for non-minimal queries (Lemma 4.2) — so an
 ``analyze()`` followed by a ``plan()`` on the same context pays for the
@@ -52,37 +52,30 @@ def _marker_definition(view) -> ConjunctiveQuery:
 
 
 def _check_redundant_views(inputs: AnalysisInput) -> Iterator[Diagnostic]:
-    context = inputs.context
+    # The planner's own grouping (Section 5.2): every later member of a
+    # view class is redundant with the class's first member, the view
+    # CoreCover keeps.
+    from ..core.equivalence import group_equivalent_views
+
     comparable = [
         view for view in inputs.views if not _has_comparisons(view.definition)
     ]
-    # Signature pre-partition (Section 5.2): only structurally compatible
-    # definitions can be equivalent, so the quadratic pass stays small.
-    groups: dict[tuple, list] = {}
+    twins = {
+        view.name: members[0]
+        for members in group_equivalent_views(comparable, inputs.context)
+        for view in members[1:]
+    }
     for view in comparable:
-        marker = _marker_definition(view)
-        groups.setdefault(marker.signature(), []).append((view, marker))
-    for candidates in groups.values():
-        representatives: list[tuple] = []
-        for view, marker in candidates:
-            twin = next(
-                (
-                    kept_view
-                    for kept_view, kept_marker in representatives
-                    if context.is_equivalent_to(marker, kept_marker)
-                ),
-                None,
-            )
-            if twin is None:
-                representatives.append((view, marker))
-                continue
-            yield RULE_REDUNDANT_VIEW.diagnostic(
-                f"view {view.name!r} is containment-equivalent to view "
-                f"{twin.name!r}; it adds no rewriting power but bloats "
-                "T(Q, V) and the set-cover search (Section 5.2)",
-                span=inputs.span_of(view.definition),
-                subject=f"view:{view.name}",
-            )
+        twin = twins.get(view.name)
+        if twin is None:
+            continue
+        yield RULE_REDUNDANT_VIEW.diagnostic(
+            f"view {view.name!r} is containment-equivalent to view "
+            f"{twin.name!r}; it adds no rewriting power but bloats "
+            "T(Q, V) and the set-cover search (Section 5.2)",
+            span=inputs.span_of(view.definition),
+            subject=f"view:{view.name}",
+        )
 
 
 RULE_REDUNDANT_VIEW = register_rule(

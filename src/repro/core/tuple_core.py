@@ -37,7 +37,6 @@ from ..datalog.substitution import Substitution
 from ..datalog.terms import (
     Constant,
     FreshVariableFactory,
-    Term,
     Variable,
     is_variable,
 )

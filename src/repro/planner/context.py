@@ -35,6 +35,7 @@ from ..datalog.interning import InternTable
 from ..datalog.query import ConjunctiveQuery
 from ..datalog.substitution import Substitution
 from ..datalog.terms import Term
+from ..errors import UnsupportedQueryError
 from .limits import AnytimeRewriting, BudgetMeter, ResourceBudget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -47,6 +48,9 @@ __all__ = ["PlannerContext", "PlannerStats"]
 
 #: Head predicate used when interning view definitions name-independently.
 _VIEWDEF_MARKER = "__viewdef__"
+
+#: Head predicate of the definitions minimized for equivalence keys.
+_NEUTRAL_HEAD = "__view_cmp__"
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,38 @@ class PlannerContext:
         for view in views:
             self._view_def_keys.pop(id(view), None)
         return dropped
+
+    # -- view equivalence keys ---------------------------------------------------
+    def equivalence_key(self, definition: ConjunctiveQuery) -> tuple:
+        """The equivalence key of a view *definition* (Section 5.2).
+
+        The head predicate is neutralized and the definition minimized
+        through :meth:`minimize`; the key is the canonical form of that
+        core (:func:`repro.core.equivalence.canonical_key`).  Catalog
+        copies unpickled in a worker are new :class:`View` objects, so
+        their memo is empty on every task; routing the miss through the
+        memoized minimization and memoizing the key on the returned core
+        lets a warm context answer it without a search or a relabelling.
+        Raises :class:`~repro.errors.UnsupportedQueryError` for a
+        definition with comparison atoms, which have no such key.
+        """
+        from ..core.equivalence import canonical_key
+
+        if any(atom.is_comparison for atom in definition.body):
+            raise UnsupportedQueryError(
+                f"view {definition.name}: comparison atoms have no "
+                "equivalence key"
+            )
+        neutral = Atom(_NEUTRAL_HEAD, definition.head.args)
+        core = self.minimize(ConjunctiveQuery(neutral, definition.body))
+        if self.caching:
+            cached = core.__dict__.get("_equivalence_key")
+            if cached is not None:
+                return cached
+        key = canonical_key(core)
+        if self.caching:
+            object.__setattr__(core, "_equivalence_key", key)
+        return key
 
     # -- tuple-core cache -------------------------------------------------------
     def tuple_core(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..errors import ReproError

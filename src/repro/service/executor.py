@@ -62,7 +62,7 @@ from ..planner.registry import plan
 from ..profiling.phases import profile_from_stages
 from ..testing.faults import fire
 from ..views.view import ViewCatalog
-from .breaker import BreakerState, CircuitBreaker
+from .breaker import CircuitBreaker
 from .cache import CachedPlan, PlanCache, request_key
 from .failover import (
     certify_rewritings,

@@ -36,13 +36,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..datalog.query import ConjunctiveQuery, MalformedQueryError
 from ..datalog.parser import parse_query
 from ..datalog.terms import Variable, is_variable
 from ..errors import DuplicateViewError, UnknownViewError
 from ..testing.faults import fire
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from ..planner.context import PlannerContext
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,35 @@ class View:
             )
             object.__setattr__(self, "_signature", cached)
         return cached
+
+    def equivalence_key(self, context: "PlannerContext | None" = None) -> tuple:
+        """The key of the view's class under equivalence as a query.
+
+        Two comparison-free views get equal keys exactly when their
+        definitions, head predicate aside, are equivalent (Section 5.2);
+        see :meth:`repro.planner.context.PlannerContext.equivalence_key`.
+
+        Memoized like :meth:`predicate_signature`, but computed on first
+        use rather than at parse or catalog construction: a plan touches
+        only the views sharing a predicate with its query.  A view is
+        never mutated, and a catalog delta keeps every untouched
+        :class:`View` object, so the key outlives each ``plan()`` call.
+        ``PlannerContext(caching=False)`` neither reads nor writes the
+        memo, so the uncached ablation stays uncached.
+        """
+        memoize = context is None or context.caching
+        if memoize:
+            cached = self.__dict__.get("_equivalence_key")
+            if cached is not None:
+                return cached
+        if context is None:
+            from ..planner.context import PlannerContext  # import cycle guard
+
+            context = PlannerContext()
+        key = context.equivalence_key(self.definition)
+        if memoize:
+            object.__setattr__(self, "_equivalence_key", key)
+        return key
 
     def __str__(self) -> str:
         return str(self.definition)

@@ -55,6 +55,17 @@ class TestRedundantViewR101:
             _marker_definition(by_name["v3"]), _marker_definition(by_name["v1"])
         )
 
+    def test_flags_a_copy_with_a_redundant_atom(self):
+        # v2 minimizes to v1; R101 groups exactly as the planner does.
+        query = parse_query("q(X) :- r(X, Y)")
+        views = ViewCatalog(parse_program(
+            "v1(X) :- r(X, Y)\n"
+            "v2(X) :- r(X, Y), r(X, Z)\n"
+            "v3(A) :- r(A, B)\n"
+        ))
+        flagged = [d.subject for d in diags(analyze(query, views), "R101")]
+        assert flagged == ["view:v2", "view:v3"]
+
     def test_negative_inequivalent_views(self):
         query = parse_query("q(X) :- e(X, Y)")
         views = ViewCatalog(parse_program(

@@ -1,6 +1,10 @@
 """Tests for equivalence classes of views and view tuples (Section 5.2)."""
 
-from repro.containment import minimize
+import time
+
+import pytest
+
+from repro.containment import is_equivalent_to, minimize
 from repro.core import (
     core_representatives,
     group_cores_by_coverage,
@@ -10,7 +14,9 @@ from repro.core import (
     view_tuples,
 )
 from repro.datalog import parse_query
+from repro.errors import UnsupportedQueryError
 from repro.experiments.paper_examples import car_loc_part
+from repro.planner import PlannerContext
 from repro.views import ViewCatalog, as_view
 
 
@@ -55,6 +61,109 @@ class TestViewGrouping:
         clp = car_loc_part()
         reps = view_representatives(list(clp.views))
         assert len(reps) == 4
+
+
+def _minimize_lookups(context):
+    return context.counters["minimize"].lookups
+
+
+class TestEquivalenceKey:
+    def test_memoized_on_the_view(self):
+        view = as_view("v(A) :- e(A, B), e(A, C)")
+        first = view.equivalence_key(PlannerContext())
+        context = PlannerContext()
+        assert view.equivalence_key(context) is first
+        assert _minimize_lookups(context) == 0
+
+    def test_uncached_context_neither_reads_nor_writes_the_memo(self):
+        view = as_view("v(A) :- e(A, B)")
+        context = PlannerContext(caching=False)
+        view.equivalence_key(context)
+        assert "_equivalence_key" not in view.__dict__
+        view.equivalence_key(PlannerContext())
+        view.equivalence_key(context)
+        assert _minimize_lookups(context) == 2
+
+    def test_miss_is_answered_from_the_context_core(self):
+        # A worker gets a fresh catalog copy per task: the copy's memo
+        # is empty, but a warm context's minimized core carries the key.
+        view = as_view("v(A, B) :- e(A, C), f(C, B)")
+        context = PlannerContext()
+        key = view.equivalence_key(context)
+        copy = as_view(str(view))
+        assert "_equivalence_key" not in copy.__dict__
+        assert copy.equivalence_key(context) is key
+        assert context.counters["minimize"].hits == 1
+
+    def test_equal_keys_share_one_object(self):
+        left = as_view("v1(A) :- e(A, B), f(B, c)")
+        right = as_view("v2(X) :- f(Y, c), e(X, Y)")
+        assert left.equivalence_key() is right.equivalence_key()
+
+    def test_first_component_is_the_core_signature(self):
+        view = as_view("v(A) :- e(A, B), e(A, C)")
+        signature = minimize(
+            parse_query("__view_cmp__(A) :- e(A, B), e(A, C)")
+        ).signature()
+        assert view.equivalence_key()[0] == signature
+
+    def test_comparison_views_have_no_key(self):
+        view = as_view("v(A) :- e(A, B), A < B")
+        with pytest.raises(UnsupportedQueryError):
+            view.equivalence_key()
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            # every variable has one in- and one out-edge, so colour
+            # refinement alone cannot tell these non-isomorphic cores apart
+            ((7,), (4, 3)),
+            # both fold to a directed 3-cycle
+            ((6,), (3, 3)),
+            # isomorphic
+            ((4, 3), (3, 4)),
+        ],
+    )
+    def test_keys_of_cycle_unions_match_equivalence(self, left, right):
+        def cycles(*lengths):
+            atoms = [
+                f"r(C{c}_{i}, C{c}_{(i + 1) % n})"
+                for c, n in enumerate(lengths)
+                for i in range(n)
+            ]
+            return as_view("v() :- " + ", ".join(atoms))
+
+        left, right = cycles(*left), cycles(*right)
+        equivalent = is_equivalent_to(
+            parse_query(f"q() :- {', '.join(map(str, left.definition.body))}"),
+            parse_query(f"q() :- {', '.join(map(str, right.definition.body))}"),
+        )
+        assert (left.equivalence_key() == right.equivalence_key()) == equivalent
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a 10-atom path hanging off one head variable
+            "v(X0) :- " + ", ".join(f"r(X{i}, X{i + 1})" for i in range(10)),
+            # a directed 10-cycle, fully symmetric without a head variable
+            "v() :- " + ", ".join(f"r(X{i}, X{(i + 1) % 10})" for i in range(10)),
+            # ... and with one
+            "v(X0) :- " + ", ".join(f"r(X{i}, X{(i + 1) % 10})" for i in range(10)),
+            # two 5-cycles sharing one variable (the core is one of them)
+            "v() :- "
+            + ", ".join(f"r(X{i}, X{(i + 1) % 5})" for i in range(5))
+            + ", "
+            + ", ".join(
+                f"r(Y{i}, Y{(i + 1) % 5})".replace("Y0", "X0") for i in range(5)
+            ),
+        ],
+    )
+    def test_ten_atom_one_predicate_view_keys_quickly(self, text):
+        view = as_view(text)
+        assert len(view.definition.body) == 10
+        started = time.perf_counter()
+        view.equivalence_key(PlannerContext())
+        assert time.perf_counter() - started < 1.0
 
 
 class TestCoreGrouping:

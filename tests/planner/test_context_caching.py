@@ -9,6 +9,7 @@ off, with byte-identical rewritings.
 import pytest
 
 from repro import PlannerContext, core_cover
+from repro.views import as_view
 from repro.workload import WorkloadConfig, generate_workload
 
 STAR_RELATIONS = 13
@@ -29,13 +30,27 @@ def star500():
     )
 
 
+def _fresh_views(workload):
+    """The workload's views reparsed: no equivalence key memoized yet.
+
+    Generation already planned against ``workload.views`` (it resamples
+    until a rewriting exists), and views keep their equivalence keys
+    across calls, so each compared run gets its own parsed copy.
+    """
+    return [as_view(str(view)) for view in workload.views]
+
+
 @pytest.fixture(scope="module")
 def cached_and_uncached(star500):
     cached = core_cover(
-        star500.query, star500.views, context=PlannerContext(caching=True)
+        star500.query,
+        _fresh_views(star500),
+        context=PlannerContext(caching=True),
     )
     uncached = core_cover(
-        star500.query, star500.views, context=PlannerContext(caching=False)
+        star500.query,
+        _fresh_views(star500),
+        context=PlannerContext(caching=False),
     )
     return cached, uncached
 
@@ -82,6 +97,23 @@ class TestCachingEffect:
         assert cached.stats.cache_hit_rate > 0.0
         assert uncached.stats.cache_hits == 0
         assert uncached.stats.cache_hit_rate == 0.0
+
+
+class TestCatalogResidentKeys:
+    def test_second_plan_with_fresh_context_runs_no_grouping_search(
+        self, star500
+    ):
+        views = _fresh_views(star500)
+        first = core_cover(star500.query, views, context=PlannerContext())
+        context = PlannerContext()
+        second = core_cover(star500.query, views, context=context)
+        assert second.rewritings == first.rewritings
+        assert second.stats.view_classes == first.stats.view_classes
+        # Grouping's only searches are its view minimizations; with the
+        # keys memoized on the views the sole minimization left is the
+        # query's own.
+        assert context.counters["minimize"].lookups == 1
+        assert second.stats.hom_searches < first.stats.hom_searches
 
 
 class TestSharedContextAcrossRuns:

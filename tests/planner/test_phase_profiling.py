@@ -193,17 +193,22 @@ class TestPlannerSurfaces:
             ServicePolicy,
         )
 
-        request = PlanRequest(
-            query=parse_query(QUERY),
-            views=ViewCatalog(VIEWS),
-            parse_seconds=0.5,
-        )
+        def request():
+            # A freshly parsed catalog per run: views keep their
+            # equivalence keys across plans, which would change the
+            # search counters compared below.
+            return PlanRequest(
+                query=parse_query(QUERY),
+                views=ViewCatalog(VIEWS),
+                parse_seconds=0.5,
+            )
+
         policy = ServicePolicy(chain=("corecover",))
-        plain = ResilientExecutor(policy).execute(request)
+        plain = ResilientExecutor(policy).execute(request())
         assert plain.profile is None
         assert "profile" not in plain.to_json()
 
-        profiled = ResilientExecutor(policy, profile=True).execute(request)
+        profiled = ResilientExecutor(policy, profile=True).execute(request())
         assert profiled.profile is not None
         payload = profiled.to_json()["profile"]
         assert payload["phase_seconds"]["parse"] == 0.5
